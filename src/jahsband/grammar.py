@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -107,6 +108,19 @@ class Grammar:
     def n_stages_min(self) -> int:
         assert self.n_stages_max is not None
         return max(2, self.n_stages_max // 2)
+
+    @cached_property
+    def total_blocks_range(self) -> tuple[int, int]:
+        """Fewest and most blocks a U-Net derivation can hold: one block per
+        stage at the fewest stages, and the larger of the conv and residual
+        encoders plus the decoder at full caps over the most stages."""
+        assert self.n_stages_max is not None
+        n = self.n_stages_max
+        caps = {name: info[0] for name, info in self.block_info.items()}
+        decoder = sum(caps[f"DB_{i}"] for i in range(1, n))
+        conv = sum(caps[f"CEB_{i}"] for i in range(1, n + 1))
+        residual = sum(caps[f"REB_{i}"] for i in range(1, n + 1))
+        return 2 * self.n_stages_min - 1, max(conv, residual) + decoder
 
 
 def build_grammar(

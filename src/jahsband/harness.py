@@ -105,16 +105,7 @@ def _arch_coords(space: SearchSpace, config: Configuration) -> dict[str, float]:
     feats = extract_features(config.derivation)
     lo, hi = g.n_stages_min, g.n_stages_max
     stages = (feats.n_stages - lo) / (hi - lo) if hi > lo else 0.0
-    min_total = 2 * lo - 1  # one block per stage at the fewest stages
-    max_total = 0
-    for prefix, count in (("CEB", g.n_stages_max), ("DB", g.n_stages_max - 1)):
-        max_total += sum(
-            g.block_info[f"{prefix}_{i}"][0] for i in range(1, count + 1)
-        )
-    res_total = sum(
-        g.block_info[f"REB_{i}"][0] for i in range(1, g.n_stages_max + 1)
-    ) + sum(g.block_info[f"DB_{i}"][0] for i in range(1, g.n_stages_max))
-    max_total = max(max_total, res_total)
+    min_total, max_total = g.total_blocks_range
     blocks = (feats.total_blocks - min_total) / (max_total - min_total) \
         if max_total > min_total else 0.0
     return {ARCH_STAGES: stages, ARCH_BLOCKS: blocks}
@@ -486,14 +477,3 @@ class ExternalEvaluator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def external_evaluate(
-    evaluator: ExternalEvaluator,
-    config: Configuration,
-    budget: int,
-    previous_budget: int | None = None,
-    seed: int = 0,
-) -> Objectives:
-    """Single evaluation through an already-connected external evaluator."""
-    return evaluator.evaluate(config, budget, seed, previous_budget)

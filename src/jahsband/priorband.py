@@ -14,9 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,13 +58,22 @@ class SamplerWeights:
 
 
 class RunHistory:
-    """Append-only list of trials with derived incumbent / front views."""
+    """Append-only list of trials with derived incumbent / front views.
+
+    The views are kept up to date by :meth:`add`, so a trial must not be
+    changed once it has been added.
+    """
 
     def __init__(self, space: SearchSpace, ladder: BudgetLadder, run_seed: int = 0):
         self.space = space
         self.ladder = ladder
         self.run_seed = run_seed
         self.trials: list[Trial] = []
+        self._configs: dict[int, Configuration] = {}
+        # per config_id, its completed trial at the highest budget
+        self._best: dict[int, Trial] = {}
+        # first front over self._best; None once a best trial has changed
+        self._front: list[tuple[int, CostVector]] | None = []
 
     @property
     def b_max(self) -> int:
@@ -70,23 +81,25 @@ class RunHistory:
 
     def add(self, trial: Trial) -> None:
         self.trials.append(trial)
+        self._configs[trial.config_id] = trial.configuration
+        if trial.status != "ok" or trial.cost is None:
+            return
+        best = self._best.get(trial.config_id)
+        if best is None or trial.budget > best.budget:
+            self._best[trial.config_id] = trial
+            self._front = None
 
     def __len__(self) -> int:
         return len(self.trials)
 
-    def configurations(self) -> dict[int, Configuration]:
-        return {t.config_id: t.configuration for t in self.trials}
+    def configurations(self) -> Mapping[int, Configuration]:
+        """Read-only config_id -> configuration (the latest trial's)."""
+        return MappingProxyType(self._configs)
 
     def costs_at_highest_budget(self) -> list[tuple[int, CostVector]]:
         """Per configuration: its cost at the highest budget it completed,
         ordered by config_id. Failed-only configurations are absent."""
-        best: dict[int, Trial] = {}
-        for t in self.trials:
-            if t.status != "ok" or t.cost is None:
-                continue
-            if t.config_id not in best or t.budget > best[t.config_id].budget:
-                best[t.config_id] = t
-        return [(cid, best[cid].cost) for cid in sorted(best)]
+        return [(cid, self._best[cid].cost) for cid in sorted(self._best)]
 
     def max_budget_trials(self) -> list[Trial]:
         return [
@@ -97,11 +110,11 @@ class RunHistory:
 
     def pareto_entries(self) -> list[tuple[int, CostVector]]:
         """Non-dominated (config_id, cost) pairs over highest-budget costs."""
-        entries = self.costs_at_highest_budget()
-        if not entries:
-            return []
-        fronts = non_dominated_sort([c for _, c in entries])
-        return [entries[i] for i in fronts[0]]
+        if self._front is None:
+            entries = self.costs_at_highest_budget()
+            fronts = non_dominated_sort([c for _, c in entries])
+            self._front = [entries[i] for i in fronts[0]]
+        return list(self._front)
 
 
 def sampler_weights(
@@ -209,8 +222,10 @@ def run(
     budget, then every bracket from s_max down to 0 with per-configuration
     strategy draws and batch-synchronous successive halving.
 
-    Evaluator failures become failed trials (never promoted); everything else
-    is deterministic given the seed, independent of the worker count.
+    Evaluator failures, and objectives that are non-finite, negative or a
+    primary cost outside [0, 1], become failed trials (never promoted);
+    everything else is deterministic given the seed, independent of the
+    worker count.
     """
     if mode not in ("priorband", "regularized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -247,8 +262,14 @@ def run(
                 objectives = problem.evaluate(
                     config, budget, seed=eval_seed, previous_budget=previous_budget
                 )
-                trial.cost = CostVector(objectives.primary, objectives.runtime_hours)
             except EvaluationFailed:
+                trial.status = "failed"
+                return trial
+            primary, runtime = objectives.primary, objectives.runtime_hours
+            # NaN fails both comparisons
+            if 0.0 <= primary <= 1.0 and 0.0 <= runtime < math.inf:
+                trial.cost = CostVector(primary, runtime)
+            else:
                 trial.status = "failed"
             return trial
 
@@ -271,6 +292,9 @@ def run(
             weights = sampler_weights(r, ladder.eta, history)
             weight_traces.append((bracket.s, weights))
 
+            # the history is constant while a bracket samples, so its
+            # center is computed once, on the first incumbent draw
+            center: Configuration | None = None
             members: list[tuple[int, Configuration, str]] = []
             for _ in range(bracket.n_configs):
                 strategy = STRATEGIES[
@@ -281,7 +305,8 @@ def run(
                 elif strategy == "prior":
                     config = cs.sample(space, "prior", rng)
                 else:
-                    center = incumbent_for_sampling(history)
+                    if center is None:
+                        center = incumbent_for_sampling(history)
                     config = cs.sample(space, ("around", center), rng)
                 members.append((next_id, config, strategy))
                 next_id += 1

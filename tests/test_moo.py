@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jahsband.moo import (
     CostVector,
@@ -15,6 +17,9 @@ from jahsband.moo import (
 )
 
 from conftest import brute_force_fronts
+
+
+LEVELS = (0.0, 0.25, 0.5, 1.0)
 
 
 def cv(*pairs):
@@ -56,6 +61,37 @@ class TestNonDominatedSort:
             pts = cv(*zip(rng.integers(0, 4, n).astype(float),
                           rng.integers(0, 4, n).astype(float)))
             assert non_dominated_sort(pts) == brute_force_fronts(pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_matches_brute_force_on_tie_grids(self, pairs):
+        pts = cv(*pairs)
+        assert non_dominated_sort(pts) == brute_force_fronts(pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0, allow_subnormal=False),
+                st.floats(0.0, 10.0, allow_subnormal=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(st.integers(0, 10**6), max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_brute_force_with_exact_duplicates(self, pairs, picks, rnd):
+        pairs = pairs + [pairs[i % len(pairs)] for i in picks]
+        rnd.shuffle(pairs)
+        pts = cv(*pairs)
+        assert non_dominated_sort(pts) == brute_force_fronts(pts)
 
 
 class TestCrowdingDistance:

@@ -1,10 +1,15 @@
+import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jahsband as jb
 from jahsband import configspace as cs
+from jahsband import priorband
 from jahsband.harness import EvaluationFailed, SyntheticProblem
 from jahsband.moo import CostVector
 from jahsband.priorband import (
@@ -21,7 +26,7 @@ from jahsband.priorband import (
 )
 from jahsband.scheduler import Trial, budget_ladder
 
-from conftest import float_space, history_from_table
+from conftest import brute_force_fronts, float_space, history_from_table
 
 
 def small_setup(d=3, optimum=0.3, b_max=27, default=0.5, size=()):
@@ -33,6 +38,107 @@ def small_setup(d=3, optimum=0.3, b_max=27, default=0.5, size=()):
         size_parameters=size,
     )
     return space, problem, budget_ladder(1, b_max, 3)
+
+
+class FailAbove:
+    """Wraps a problem; raises EvaluationFailed when p0 exceeds a limit."""
+
+    def __init__(self, inner, limit):
+        self.inner = inner
+        self.space = inner.space
+        self.limit = limit
+
+    def evaluate(self, config, budget, seed=0, previous_budget=None):
+        if config["p0"] > self.limit:
+            raise EvaluationFailed("synthetic fault")
+        return self.inner.evaluate(config, budget, seed, previous_budget)
+
+
+def views_from_scratch(history):
+    """costs_at_highest_budget, pareto_entries and configurations rebuilt
+    from the trial list alone."""
+    best = {}
+    for t in history.trials:
+        if t.status != "ok" or t.cost is None:
+            continue
+        if t.config_id not in best or t.budget > best[t.config_id].budget:
+            best[t.config_id] = t
+    entries = [(cid, best[cid].cost) for cid in sorted(best)]
+    front = []
+    if entries:
+        front = [entries[i] for i in brute_force_fronts([c for _, c in entries])[0]]
+    configs = {t.config_id: t.configuration for t in history.trials}
+    return entries, front, configs
+
+
+def assert_views_current(history):
+    entries, front, configs = views_from_scratch(history)
+    assert history.costs_at_highest_budget() == entries
+    assert history.pareto_entries() == front
+    assert dict(history.configurations()) == configs
+
+
+class CheckedHistory(RunHistory):
+    """Checks the incremental views against a rebuild after every add."""
+
+    def add(self, trial):
+        super().add(trial)
+        assert_views_current(self)
+
+
+class TestRunHistoryViews:
+    LEVELS = (0.0, 0.5, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),  # config_id
+                st.sampled_from((1, 3, 9, 27)),  # budget
+                st.booleans(),  # failed
+                st.sampled_from(LEVELS),
+                st.sampled_from(LEVELS),
+                st.integers(0, 2),  # configuration value
+            ),
+            max_size=40,
+        )
+    )
+    def test_views_match_rebuild_after_every_add(self, rows):
+        space = float_space(1)
+        history = CheckedHistory(space, budget_ladder(1, 27, 3))
+        assert_views_current(history)
+        for cid, budget, failed, primary, runtime, value in rows:
+            history.add(Trial(
+                config_id=cid,
+                configuration=cs.Configuration({"p0": value / 2}),
+                bracket=0,
+                rung=0,
+                budget=budget,
+                strategy="random",
+                seed=0,
+                cost=None if failed else CostVector(primary, runtime),
+                status="failed" if failed else "ok",
+            ))
+
+    def test_run_and_reloaded_history(self, tmp_path, monkeypatch):
+        # failed trials and configurations re-run at higher budgets, both in
+        # a live run and in the history read back from its CSV
+        space, problem, ladder = small_setup(size=("p2",))
+        monkeypatch.setattr(priorband, "RunHistory", CheckedHistory)
+        result = jb.run(space, FailAbove(problem, 0.75), ladder, seed=2)
+        trials = result.history.trials
+        assert any(t.status == "failed" for t in trials)
+        assert len({t.config_id for t in trials}) < len(trials)
+        path = tmp_path / "history.csv"
+        write_history_csv(result.history, path)
+        loaded = read_history_csv(path, space, ladder)
+        assert isinstance(loaded, CheckedHistory)
+
+    def test_configurations_is_read_only(self):
+        space = float_space(1)
+        history = history_from_table(space, [(space.default_configuration(), 0.5, 1.0)])
+        with pytest.raises(TypeError):
+            history.configurations()[0] = space.default_configuration()
 
 
 class TestSamplerWeights:
@@ -259,18 +365,7 @@ class TestRun:
 
     def test_failed_trials_recorded_and_never_promoted(self):
         space, problem, ladder = small_setup()
-
-        class Flaky:
-            def __init__(self, inner):
-                self.inner = inner
-                self.space = inner.space
-
-            def evaluate(self, config, budget, seed=0, previous_budget=None):
-                if config["p0"] > 0.75:
-                    raise EvaluationFailed("synthetic fault")
-                return self.inner.evaluate(config, budget, seed, previous_budget)
-
-        result = jb.run(space, Flaky(problem), ladder, seed=2)
+        result = jb.run(space, FailAbove(problem, 0.75), ladder, seed=2)
         failed = [t for t in result.history.trials if t.status == "failed"]
         assert failed, "expected some failures with this seed"
         assert all(t.cost is None for t in failed)
@@ -289,6 +384,56 @@ class TestRun:
                                      if all(x.status == "failed"
                                             for x in result.history.trials
                                             if x.config_id == t.config_id)})
+
+    @pytest.mark.parametrize("primary, runtime", [
+        (math.nan, 0.1), (0.5, math.nan), (0.5, math.inf), (1.5, 0.1),
+        (-0.1, 0.1), (0.5, -1.0),
+    ])
+    def test_bad_objectives_fail_one_trial(self, primary, runtime):
+        space, problem, ladder = small_setup()
+
+        class BadFifthCall:
+            def __init__(self):
+                self.space = space
+                self.calls = 0
+
+            def evaluate(self, config, budget, seed=0, previous_budget=None):
+                self.calls += 1
+                if self.calls == 5:
+                    return jb.Objectives(primary, runtime)
+                return problem.evaluate(config, budget, seed, previous_budget)
+
+        result = jb.run(space, BadFifthCall(), ladder, seed=0)
+        clean = jb.run(space, problem, ladder, seed=0)
+        trials = result.history.trials
+        bad = trials[4]
+        assert (bad.status, bad.cost) == ("failed", None)
+        assert all(t.status == "ok" for t in trials[:4] + trials[5:])
+        assert trials[:4] == clean.history.trials[:4]
+        assert bad.configuration == clean.history.trials[4].configuration
+        # never promoted, never on the front
+        assert [t for t in result.history.trials if t.config_id == bad.config_id] == [bad]
+        assert bad.config_id not in {cid for cid, _ in result.history.pareto_entries()}
+
+    @pytest.mark.parametrize("mode", ["regularized", "priorband"])
+    def test_one_sampling_center_per_bracket(self, mode, monkeypatch):
+        space, problem, ladder = small_setup(d=2, b_max=81)
+        original = priorband.incumbent_for_sampling
+        sampling_calls = Counter()
+
+        def counting(history):
+            if sys._getframe(1).f_code.co_name == "run":
+                sampling_calls[len(history)] += 1
+            return original(history)
+
+        monkeypatch.setattr(priorband, "incumbent_for_sampling", counting)
+        for seed in range(4):
+            sampling_calls.clear()
+            result = jb.run(space, problem, ladder, mode=mode, seed=seed)
+            drawn = {t.bracket for t in result.history.trials if t.strategy == "incumbent"}
+            assert drawn, "expected incumbent draws with this setup"
+            # the history grows between brackets, so its length names the bracket
+            assert sorted(sampling_calls.values()) == [1] * len(drawn)
 
     def test_restart_mode_charges_full_budgets(self):
         space, problem, ladder = small_setup()
