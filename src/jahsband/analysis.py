@@ -75,47 +75,55 @@ class _Node:
         self.value = value
 
 
-def _best_numeric_split(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(gain, threshold) of the best binary split on a numeric column."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    boundaries = np.flatnonzero(np.diff(xs) > 0) + 1
-    if boundaries.size == 0:
-        return 0.0, 0.0
-    csum = np.cumsum(ys)
-    total = csum[-1]
-    n = len(ys)
-    nl = boundaries
-    left = csum[boundaries - 1]
-    gains = left**2 / nl + (total - left) ** 2 / (n - nl) - total**2 / n
-    best = int(np.argmax(gains))
-    threshold = 0.5 * (xs[boundaries[best] - 1] + xs[boundaries[best]])
-    return float(gains[best]), float(threshold)
+def _best_numeric_splits(
+    xs: np.ndarray, ys: np.ndarray, boundary: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """(gains, thresholds) of the best binary split of each row of ``xs``,
+    a node's candidate columns in sorted order, with ``ys`` the targets in
+    the same order and ``boundary[i, j]`` true where ``xs[i, j + 1]`` is
+    larger than ``xs[i, j]``. All rows are scored in one pass; the first
+    maximum wins and a row without a boundary gains -inf."""
+    k, n = xs.shape
+    csum = ys.cumsum(axis=1)
+    total = csum[:, -1]
+    # numpy scalar ** calls C pow, which the array path does not: keep this
+    # term per row so the gains stay bit-identical
+    whole = np.array([t**2 / n for t in total])
+    nl = np.arange(1, n)  # rows left of each cut; nl[::-1] is n - nl
+    left = csum[:, :-1]
+    gains = left**2 / nl + (total[:, None] - left) ** 2 / nl[::-1] - whole[:, None]
+    gains[~boundary] = -np.inf
+    best = gains.argmax(axis=1)
+    rows = np.arange(k)
+    thresholds = 0.5 * (xs[rows, best] + xs[rows, best + 1])
+    return gains[rows, best].tolist(), thresholds.tolist()
 
 
 def _best_categorical_split(
-    x: np.ndarray, y: np.ndarray
+    xs: np.ndarray, ys: np.ndarray, boundary: np.ndarray
 ) -> tuple[float, frozenset[int]]:
-    """(gain, left-subset) of the best subset split; categories are ordered
-    by mean response, which is optimal for squared error."""
-    cats = np.unique(x)
-    if cats.size < 2:
+    """(gain, left-subset) of the best subset split of a categorical column,
+    given as for :func:`_best_numeric_splits`; categories are ordered by
+    mean response, which is optimal for squared error."""
+    edges = [0, *(boundary.nonzero()[0] + 1).tolist(), xs.size]
+    if len(edges) < 3:
         return 0.0, frozenset()
-    means = np.array([y[x == c].mean() for c in cats])
-    order = np.argsort(means, kind="stable")
-    counts = np.array([(x == c).sum() for c in cats])[order]
-    sums = np.array([y[x == c].sum() for c in cats])[order]
-    csum = np.cumsum(sums)
-    ccnt = np.cumsum(counts)
+    # a category is one run of the sorted column, its rows in row order, so
+    # .sum() adds what a per-category mask would, in the same order
+    sums = np.array([ys[a:b].sum() for a, b in zip(edges, edges[1:])])
+    counts = np.array([b - a for a, b in zip(edges, edges[1:])])
+    order = (sums / counts).argsort(kind="stable")
+    csum = sums[order].cumsum()
+    ccnt = counts[order].cumsum()
     total, n = csum[-1], ccnt[-1]
     best_gain, best_cut = 0.0, 0
-    for cut in range(1, cats.size):
+    for cut in range(1, len(edges) - 1):
         nl = ccnt[cut - 1]
         left = csum[cut - 1]
         gain = left**2 / nl + (total - left) ** 2 / (n - nl) - total**2 / n
         if gain > best_gain:
             best_gain, best_cut = float(gain), cut
-    subset = frozenset(int(cats[i]) for i in order[:best_cut])
+    subset = frozenset(int(xs[edges[i]]) for i in order[:best_cut])
     return best_gain, subset
 
 
@@ -127,25 +135,33 @@ def _fit_tree(
     n_candidates: int,
     rng: np.random.Generator,
 ) -> _Node:
-    d = X.shape[1]
+    n, d = X.shape
+    side = np.empty(n, dtype=bool)  # per row: goes to the left child
 
-    def build(idx: np.ndarray, depth: int) -> _Node:
+    def build(idx: np.ndarray, ranked: np.ndarray, depth: int) -> _Node:
+        # idx: the node's rows in ascending order; ranked[f]: the same rows
+        # ordered by (X[row, f], row), i.e. the presorted column filtered by
+        # membership, which is what a per-node stable argsort would give
         ys = y[idx]
         node_value = float(ys.mean())
         if depth >= max_depth or idx.size < 2 or np.ptp(ys) == 0.0:
             return _Node(_LEAF, value=node_value)
         features = rng.choice(d, size=min(n_candidates, d), replace=False)
+        rows = ranked[features]
+        xs = X[rows, features[:, None]]
+        ys_sorted = y[rows]
+        boundary = xs[:, 1:] > xs[:, :-1]
+        # categorical rows are scored too and their scores ignored: one pass
+        # over all rows is cheaper than selecting the numeric ones
+        gains, thresholds = _best_numeric_splits(xs, ys_sorted, boundary)
         best_gain, best = 1e-12, None
-        for f in features:
-            col = X[idx, f]
+        for i, f in enumerate(features):
             if f in categorical:
-                gain, subset = _best_categorical_split(col, ys)
+                gain, subset = _best_categorical_split(xs[i], ys_sorted[i], boundary[i])
                 if gain > best_gain:
                     best_gain, best = gain, (_CATEGORICAL_SPLIT, f, subset)
-            else:
-                gain, threshold = _best_numeric_split(col, ys)
-                if gain > best_gain:
-                    best_gain, best = gain, (_NUMERIC_SPLIT, f, threshold)
+            elif gains[i] > best_gain:
+                best_gain, best = gains[i], (_NUMERIC_SPLIT, f, thresholds[i])
         if best is None:
             return _Node(_LEAF, value=node_value)
         kind, f, where = best
@@ -153,48 +169,64 @@ def _fit_tree(
             mask = X[idx, f] <= where
         else:
             mask = np.isin(X[idx, f], list(where))
-        left = build(idx[mask], depth + 1)
-        right = build(idx[~mask], depth + 1)
+        side[idx] = mask
+        goes_left = side[ranked]
+        n_left = int(np.count_nonzero(mask))
+        left = build(idx[mask], ranked[goes_left].reshape(d, n_left), depth + 1)
+        right = build(idx[~mask], ranked[~goes_left].reshape(d, idx.size - n_left),
+                      depth + 1)
         if kind == _NUMERIC_SPLIT:
             return _Node(kind, f, threshold=where, left=left, right=right)
         return _Node(kind, f, subset=where, left=left, right=right)
 
-    return build(np.arange(len(y)), 0)
+    return build(np.arange(n), np.argsort(X.T, axis=1, kind="stable"), 0)
 
 
 def _collect_leaves(
     root: _Node, d: int, categorical: dict[int, int]
-) -> list[tuple[list, float]]:
-    """(box, value) per leaf: a box holds one [lo, hi) interval per numeric
-    feature and one category set per categorical feature."""
-    initial: list = [
-        set(range(categorical[f])) if f in categorical else (0.0, 1.0)
-        for f in range(d)
-    ]
-    leaves: list[tuple[list, float]] = []
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Leaf values and boxes, depth first with the left child first: per
+    leaf, the [lo, hi) interval of every feature (unused on categorical
+    ones) and, per categorical feature, a (leaves, categories) boolean
+    array of the categories each leaf admits."""
+    lo, hi = [0.0] * d, [1.0] * d
+    admitted = {f: np.ones(k, dtype=bool) for f, k in categorical.items()}
+    values: list[float] = []
+    los: list[list[float]] = []
+    his: list[list[float]] = []
+    members: dict[int, list[np.ndarray]] = {f: [] for f in categorical}
 
-    def walk(node: _Node, box: list) -> None:
+    def walk(node: _Node) -> None:
         if node.kind == _LEAF:
-            leaves.append(([b.copy() if isinstance(b, set) else b for b in box],
-                           node.value))
+            values.append(node.value)
+            los.append(lo.copy())
+            his.append(hi.copy())
+            # admitted arrays are replaced, never written, so sharing is safe
+            for f, row in admitted.items():
+                members[f].append(row)
             return
         f = node.feature
-        saved = box[f]
         if node.kind == _NUMERIC_SPLIT:
-            lo, hi = saved
-            box[f] = (lo, min(hi, node.threshold))
-            walk(node.left, box)
-            box[f] = (max(lo, node.threshold), hi)
-            walk(node.right, box)
+            saved_lo, saved_hi = lo[f], hi[f]
+            hi[f] = min(saved_hi, node.threshold)
+            walk(node.left)
+            hi[f] = saved_hi
+            lo[f] = max(saved_lo, node.threshold)
+            walk(node.right)
+            lo[f] = saved_lo
         else:
-            box[f] = saved & node.subset
-            walk(node.left, box)
-            box[f] = saved - node.subset
-            walk(node.right, box)
-        box[f] = saved
+            saved = admitted[f]
+            subset = np.zeros(categorical[f], dtype=bool)
+            subset[list(node.subset)] = True
+            admitted[f] = saved & subset
+            walk(node.left)
+            admitted[f] = saved & ~subset
+            walk(node.right)
+            admitted[f] = saved
 
-    walk(root, initial)
-    return leaves
+    walk(root)
+    return (np.array(values), np.array(los), np.array(his),
+            {f: np.array(rows) for f, rows in members.items()})
 
 
 def _tree_marginal_variances(
@@ -202,16 +234,11 @@ def _tree_marginal_variances(
 ) -> tuple[float, np.ndarray]:
     """Total variance of the tree's function under the uniform measure, and
     each feature's first-order marginal variance."""
-    leaves = _collect_leaves(root, d, categorical)
-    values = np.array([v for _, v in leaves])
-    sizes = np.empty((len(leaves), d))
-    for li, (box, _) in enumerate(leaves):
-        for f in range(d):
-            if f in categorical:
-                sizes[li, f] = len(box[f]) / categorical[f]
-            else:
-                lo, hi = box[f]
-                sizes[li, f] = max(hi - lo, 0.0)
+    values, los, his, members = _collect_leaves(root, d, categorical)
+    widths = his - los
+    sizes = np.where(widths < 0.0, 0.0, widths)
+    for f, member in members.items():
+        sizes[:, f] = member.sum(axis=1) / categorical[f]
     volumes = sizes.prod(axis=1)
     mean = float(volumes @ values)
     total_var = float(volumes @ values**2) - mean**2
@@ -221,25 +248,15 @@ def _tree_marginal_variances(
         with np.errstate(divide="ignore", invalid="ignore"):
             weights = np.where(sizes[:, f] > 0, volumes / sizes[:, f], 0.0)
         wv = weights * values
-        if f in categorical:
-            k = categorical[f]
-            member = np.zeros((len(leaves), k), dtype=bool)
-            for li, (box, _) in enumerate(leaves):
-                member[li, list(box[f])] = True
-            m = wv @ member
+        if f in members:
+            m = wv @ members[f]
             marginals[f] = float(np.mean((m - mean) ** 2))
         else:
-            points = sorted(
-                {0.0, 1.0}
-                | {box[f][0] for box, _ in leaves}
-                | {box[f][1] for box, _ in leaves}
-            )
-            edges = np.array(points)
+            lo, hi = los[:, f], his[:, f]
+            edges = np.unique(np.concatenate(([0.0, 1.0], lo, hi)))
             mids = 0.5 * (edges[:-1] + edges[1:])
             lengths = np.diff(edges)
-            los = np.array([box[f][0] for box, _ in leaves])
-            his = np.array([box[f][1] for box, _ in leaves])
-            cover = (los[:, None] <= mids[None, :]) & (mids[None, :] < his[:, None])
+            cover = (lo[:, None] <= mids[None, :]) & (mids[None, :] < hi[:, None])
             m = wv @ cover
             marginals[f] = float(lengths @ (m - mean) ** 2)
     return total_var, marginals
@@ -287,6 +304,14 @@ def fanova_first_order(
     Costs are taken at each configuration's highest completed budget. A
     constant objective yields all-zero importances. Raises
     :class:`InsufficientDataError` below two distinct configurations.
+
+    Each tree argsorts every column once, stably, and hands each child its
+    parent's sorted rows filtered by membership, the presorted attribute
+    lists of SLIQ (Mehta et al., EDBT 1996); no node sorts again. A node
+    scores all its candidate columns in one 2-D pass (cumulative sums,
+    boundary mask, first maximum per row). Sums are added in the order a
+    per-node sort would give, so every forest, and every importance, is
+    bit-identical to scoring each column on its own.
     """
     if trees < 1:
         raise ValueError("need at least one tree")

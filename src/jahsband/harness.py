@@ -18,6 +18,7 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -213,20 +214,14 @@ class SyntheticProblem:
             noise=noise,
         )
 
-    def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "optimum": self.optimum,
-                "weights": self.weights,
-                "b_max": self.b_max,
-                "curvature": self.curvature,
-                "hours_per_epoch": self.hours_per_epoch,
-                "size_parameters": list(self.size_parameters),
-                "noise": self.noise,
-            },
-            sort_keys=True,
-        )
+    @cached_property
+    def _fingerprint(self) -> str:
+        payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
+
+    def fingerprint(self) -> str:
+        """sha256 of :meth:`to_dict`; it seeds the noise streams."""
+        return self._fingerprint
 
     def evaluate(
         self,
@@ -367,6 +362,14 @@ def replay_save(trials, path: str | Path) -> None:
             )
 
 
+def _close_quietly(pipe) -> None:
+    """Close a pipe to a child that may have exited with data unflushed."""
+    try:
+        pipe.close()
+    except OSError:
+        pass
+
+
 class ExternalEvaluator:
     """Client side of the evaluator wire protocol.
 
@@ -386,19 +389,24 @@ class ExternalEvaluator:
         self.space = space
         self.b_max = b_max
         self.timeout = timeout
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self._argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self._proc: subprocess.Popen | None = self._spawn()
+        self._lock = threading.Lock()
+        self._counter = 0
+
+    def _spawn(self) -> subprocess.Popen:
         try:
-            self._proc = subprocess.Popen(
-                argv,
+            return subprocess.Popen(
+                self._argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
                 bufsize=1,
             )
         except OSError as exc:
-            raise EvaluationFailed(f"cannot spawn evaluator {argv[0]!r}: {exc}") from exc
-        self._lock = threading.Lock()
-        self._counter = 0
+            raise EvaluationFailed(
+                f"cannot spawn evaluator {self._argv[0]!r}: {exc}"
+            ) from exc
 
     def evaluate(
         self,
@@ -408,6 +416,8 @@ class ExternalEvaluator:
         previous_budget: int | None = None,
     ) -> Objectives:
         with self._lock:
+            if self._proc is None:
+                self._proc = self._spawn()
             self._counter += 1
             request_id = f"eval-{self._counter}"
             request = {
@@ -448,29 +458,43 @@ class ExternalEvaluator:
 
     def _read_line(self) -> str:
         result: list[str] = []
+        stdout = self._proc.stdout
 
         def reader() -> None:
-            result.append(self._proc.stdout.readline())
+            result.append(stdout.readline())
 
         thread = threading.Thread(target=reader, daemon=True)
         thread.start()
         thread.join(self.timeout)
         if thread.is_alive():
+            # the late reply would be read as the answer to a later request:
+            # kill the child, whose closed pipe ends this reader, and start
+            # a fresh one for the next request
+            proc, self._proc = self._proc, None
+            proc.kill()
+            proc.wait()
+            _close_quietly(proc.stdin)
+            # a process the child started may still hold the pipe open; its
+            # reader then keeps the pipe, which closing would block on
+            thread.join(1.0)
+            if not thread.is_alive():
+                proc.stdout.close()
             raise EvaluatorTimeout(f"no response within {self.timeout}s")
         if not result or not result[0]:
             raise ProtocolError("evaluator closed its output")
         return result[0]
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
+        proc = self._proc
+        if proc is None:
+            return
+        _close_quietly(proc.stdin)
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def __enter__(self) -> "ExternalEvaluator":
         return self

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import configspace as cs
 from .configspace import Configuration, SearchSpace
-from .grammar import parse, serialize
+from .grammar import Derivation, parse, serialize
 from .harness import EvaluationFailed
 from .moo import CostVector, area_incumbent, non_dominated_sort, select_top_k
 from .scheduler import BudgetLadder, Trial, bracket_plan
@@ -409,16 +409,23 @@ def write_history_csv(history: RunHistory, path: str | Path) -> None:
 def read_history_csv(
     path: str | Path, space: SearchSpace, ladder: BudgetLadder
 ) -> RunHistory:
-    """Inverse of :func:`write_history_csv`."""
+    """Inverse of :func:`write_history_csv`. Each trial's seed is derived
+    from the run seed, config id and rung, exactly as :func:`run` derives
+    it."""
     history: RunHistory | None = None
     prev_charged = 0
+    # derivations are immutable, so rows with one architecture share it
+    derivations: dict[str, Derivation] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             if history is None:
                 history = RunHistory(space, ladder, run_seed=int(row["run_seed"]))
             derivation = None
-            if row["serialized_architecture"]:
-                derivation = parse(space.grammar, row["serialized_architecture"])
+            arch = row["serialized_architecture"]
+            if arch:
+                derivation = derivations.get(arch)
+                if derivation is None:
+                    derivation = derivations[arch] = parse(space.grammar, arch)
             config = Configuration(json.loads(row["serialized_config"]), derivation)
             budget = int(row["budget_epochs"])
             charged = int(row["charged_epochs_cumulative"])
@@ -429,15 +436,16 @@ def read_history_csv(
                 cost = CostVector(
                     float(row["primary_cost"]), float(row["runtime_hours"])
                 )
+            config_id, rung = int(row["config_id"]), int(row["rung"])
             history.add(
                 Trial(
-                    config_id=int(row["config_id"]),
+                    config_id=config_id,
                     configuration=config,
                     bracket=int(row["bracket"]),
-                    rung=int(row["rung"]),
+                    rung=rung,
                     budget=budget,
                     strategy=row["strategy"],
-                    seed=0,
+                    seed=_eval_seed(history.run_seed, config_id, rung),
                     cost=cost,
                     previous_budget=budget - delta if delta != budget else None,
                     status=row["status"],

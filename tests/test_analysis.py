@@ -1,13 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jahsband as jb
 from jahsband import configspace as cs
 from jahsband.analysis import (
     InsufficientDataError,
     SpaceMismatchError,
+    _best_categorical_split,
+    _best_numeric_splits,
     cross_eval,
     export_reports,
     fanova_first_order,
@@ -17,6 +22,9 @@ from jahsband.harness import SyntheticProblem
 from jahsband.moo import CostVector, dominates
 
 from conftest import float_space, history_from_table
+import fanova_oracle as oracle
+
+SPACES_DIR = Path(__file__).resolve().parents[1] / "spaces"
 
 
 def grid_history(fn, n=32, names=("x", "y")):
@@ -108,6 +116,112 @@ class TestFanova:
                                     seed=0)
         assert set(report.variances) == set(report.importances)
         assert all(v >= 0 for v in report.variances.values())
+
+
+@st.composite
+def mixed_histories(draw):
+    """Histories over floats and categoricals with many ties: values come
+    from small pools, rows repeat, and some categories never occur."""
+    n_float = draw(st.integers(0, 3))
+    ks = draw(st.lists(st.integers(2, 5), min_size=0 if n_float else 1,
+                       max_size=2))
+    specs = [cs.ParameterSpec(f"x{i}", "float", lo=0.0, hi=1.0, default=0.5)
+             for i in range(n_float)]
+    specs += [cs.ParameterSpec(f"c{i}", "categorical",
+                               values=tuple(f"v{j}" for j in range(k)),
+                               default="v0")
+              for i, k in enumerate(ks)]
+    space = cs.build_space(specs)
+    pool = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)
+    float_pools = [draw(pool) for _ in range(n_float)]
+    used = [sorted(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+            for k in ks]
+    row = st.fixed_dictionaries({
+        **{f"x{i}": st.sampled_from(p) for i, p in enumerate(float_pools)},
+        **{f"c{i}": st.sampled_from([f"v{j}" for j in u])
+           for i, u in enumerate(used)},
+    })
+    n = draw(st.integers(2, 80))
+    base = draw(st.lists(row, min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from(draw(pool)), min_size=n, max_size=n))
+    rows = [(cs.Configuration(dict(base[i])), y, 1.0) for i, y in zip(picks, ys)]
+    return history_from_table(space, rows)
+
+
+def assert_matches_oracle(history, trees, seed, max_depth):
+    report = fanova_first_order(history, trees=trees, seed=seed,
+                                max_depth=max_depth)
+    importances, variances = oracle.fanova_first_order(
+        history, trees=trees, seed=seed, max_depth=max_depth)
+    assert list(report.importances) == list(importances)
+    assert [repr(v) for v in report.importances.values()] == [
+        repr(v) for v in importances.values()]
+    assert [repr(v) for v in report.variances.values()] == [
+        repr(v) for v in variances.values()]
+
+
+class TestFanovaMatchesOracle:
+    """The presorted, batched forest equals the frozen per-node forest
+    float for float."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(history=mixed_histories(), trees=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), max_depth=st.integers(1, 12))
+    def test_property(self, history, trees, seed, max_depth):
+        X = [tuple(sorted(c.assignments.items()))
+             for c in history.configurations().values()]
+        if len(set(X)) < 2:
+            with pytest.raises(InsufficientDataError):
+                fanova_first_order(history, trees=trees, seed=seed,
+                                   max_depth=max_depth)
+            return
+        assert_matches_oracle(history, trees, seed, max_depth)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+           n=st.integers(2, 300), distinct=st.integers(1, 8),
+           scale=st.sampled_from([1.0, 1e3, 1e-3]))
+    def test_split_scores(self, seed, k, n, distinct, scale):
+        """Gains, thresholds and subsets per column, float for float, on
+        columns with ties and targets whose sums round differently when
+        added in another order."""
+        rng = np.random.default_rng(seed)
+        pool = rng.uniform(size=distinct)
+        X = pool[rng.integers(distinct, size=(k, n))]
+        y = rng.normal(scale=scale, size=n)
+        order = np.argsort(X, axis=1, kind="stable")
+        xs = np.take_along_axis(X, order, axis=1)
+        ys = y[order]
+        boundary = xs[:, 1:] > xs[:, :-1]
+        gains, thresholds = _best_numeric_splits(xs, ys, boundary)
+        for i in range(k):
+            gain, threshold = oracle._best_numeric_split(X[i], y)
+            if boundary[i].any():
+                assert (repr(gains[i]), repr(thresholds[i])) == (
+                    repr(gain), repr(threshold))
+            else:
+                assert gains[i] == -np.inf and gain == 0.0
+            codes = np.unique(X[i], return_inverse=True)[1].astype(float)
+            gain, subset = _best_categorical_split(
+                codes[order[i]], ys[i], boundary[i])
+            expected_gain, expected_subset = oracle._best_categorical_split(
+                codes, y)
+            assert (repr(gain), subset) == (repr(expected_gain), expected_subset)
+
+    def test_node_total_squared_by_scalar_pow(self):
+        # 566.2550030853232**2 rounds differently through C pow and through
+        # numpy's array square; the node term must take the scalar path
+        x = np.array([[0.0, 1.0]])
+        y = np.array([566.2550030853232, 0.0])
+        gains, _ = _best_numeric_splits(x, y[None, :], x[:, 1:] > x[:, :-1])
+        assert repr(gains[0]) == repr(oracle._best_numeric_split(x[0], y)[0])
+
+    def test_grammar_space_run(self):
+        space = cs.load_space(SPACES_DIR / "jahs_table3_4.json")
+        problem = SyntheticProblem.from_space(space)
+        result = jb.run(space, problem, jb.budget_ladder(1, 27, 3), seed=4)
+        assert_matches_oracle(result.history, trees=8, seed=0, max_depth=12)
 
 
 class TestCrossEval:

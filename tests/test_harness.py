@@ -49,6 +49,20 @@ import sys, time
 sys.stdin.readline()
 time.sleep(30)
 """
+# slow on the first request it ever sees (the marker file outlives the
+# process), prompt on every later one
+SLOW_ONCE_EVALUATOR = """\
+import sys, json, os, time
+marker = os.path.join(os.path.dirname(os.path.abspath(__file__)), "slow-done")
+for line in sys.stdin:
+    req = json.loads(line)
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        time.sleep(1.5)
+    print(json.dumps({"id": req["id"], "status": "ok",
+                      "objectives": {"primary": 0.5, "runtime_hours": 1.0}}),
+          flush=True)
+"""
 def make_evaluator(tmp_path, body, space, b_max=100, timeout=60.0):
     script = tmp_path / "evaluator.py"
     script.write_text(body)
@@ -141,6 +155,18 @@ class TestSyntheticProblem:
         c = noisy.evaluate(config, 100, seed=2)
         assert a == b
         assert a != c
+    def test_fingerprint_pinned(self):
+        # the fingerprint seeds every noise stream; a new value would change
+        # every noisy history
+        noisy = SyntheticProblem.from_space(
+            float_space(2), optimum={"p0": 0.3, "p1": 0.7}, b_max=100,
+            noise=0.1, size_parameters=("p1",))
+        assert noisy.fingerprint() == (
+            "44d689dd58b61b67eefe05fd2c8caff40c77670702cc333aeab12cecbecdba5c")
+        assert noisy.fingerprint() is noisy.fingerprint()
+        config = noisy.space.default_configuration()
+        assert noisy.evaluate(config, 10, seed=3).primary == 0.6869381203600035
+        assert noisy.without_noise().fingerprint() != noisy.fingerprint()
     def test_budget_out_of_range(self):
         config = self.space.default_configuration()
         with pytest.raises(BudgetOutOfRangeError):
@@ -211,6 +237,15 @@ class TestExternalEvaluator:
                             timeout=0.3) as evaluator:
             with pytest.raises(EvaluatorTimeout):
                 evaluator.evaluate(space.default_configuration(), 10)
+    def test_late_reply_does_not_poison_later_requests(self, tmp_path):
+        space = float_space(1)
+        config = space.default_configuration()
+        with make_evaluator(tmp_path, SLOW_ONCE_EVALUATOR, space,
+                            timeout=0.5) as evaluator:
+            with pytest.raises(EvaluatorTimeout):
+                evaluator.evaluate(config, 10)
+            for _ in range(3):
+                assert evaluator.evaluate(config, 10) == Objectives(0.5, 1.0)
     def test_spawn_failure(self):
         with pytest.raises(EvaluationFailed):
             ExternalEvaluator(["/no/such/binary"], float_space(1), 10)

@@ -462,6 +462,36 @@ class TestRun:
         write_history_csv(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_history_reload_restores_seeds_and_parses_once(
+        self, tmp_path, monkeypatch
+    ):
+        space = cs.load_space({
+            "parameters": [
+                {"name": "lr", "kind": "log_float", "lo": 1e-4, "hi": 1.0,
+                 "default": 1e-2},
+            ],
+            "grammar": {"n_stages_max": 3, "model_scale_max": 1},
+        })
+        problem = SyntheticProblem.from_space(space, b_max=27)
+        ladder = budget_ladder(1, 27, 3)
+        result = jb.run(space, problem, ladder, seed=7)
+        path = tmp_path / "history.csv"
+        write_history_csv(result.history, path)
+        parsed = Counter()
+        parse = priorband.parse
+
+        def counting_parse(grammar, text):
+            parsed[text] += 1
+            return parse(grammar, text)
+
+        monkeypatch.setattr(priorband, "parse", counting_parse)
+        loaded = read_history_csv(path, space, ladder)
+        assert [t.seed for t in loaded.trials] == [
+            t.seed for t in result.history.trials]
+        assert len(set(t.seed for t in loaded.trials)) > 1
+        assert set(parsed.values()) == {1}
+        assert len(parsed) < len(loaded.trials)
+
     def test_grammar_space_run(self):
         space = cs.load_space({
             "parameters": [
