@@ -18,7 +18,6 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -214,14 +213,10 @@ class SyntheticProblem:
             noise=noise,
         )
 
-    @cached_property
-    def _fingerprint(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
     def fingerprint(self) -> str:
         """sha256 of :meth:`to_dict`; it seeds the noise streams."""
-        return self._fingerprint
+        payload = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def evaluate(
         self,

@@ -163,7 +163,6 @@ class TestSyntheticProblem:
             noise=0.1, size_parameters=("p1",))
         assert noisy.fingerprint() == (
             "44d689dd58b61b67eefe05fd2c8caff40c77670702cc333aeab12cecbecdba5c")
-        assert noisy.fingerprint() is noisy.fingerprint()
         config = noisy.space.default_configuration()
         assert noisy.evaluate(config, 10, seed=3).primary == 0.6869381203600035
         assert noisy.without_noise().fingerprint() != noisy.fingerprint()
