@@ -8,7 +8,6 @@ from .configspace import (
     ParameterSpec,
     SearchSpace,
     build_space,
-    denormalize,
     load_space,
     normalize,
     prior_pdf,
@@ -100,7 +99,6 @@ __all__ = [
     "cross_eval",
     "crowding_distance",
     "default_derivation",
-    "denormalize",
     "dsc",
     "dynamic_weighting",
     "enumerate_derivations",

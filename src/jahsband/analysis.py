@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .configspace import CATEGORICAL, Configuration
+from .configspace import CATEGORICAL, Configuration, coordinate_names, normalize
 from .grammar import serialize as serialize_derivation
-from .harness import ARCH_BLOCKS, ARCH_STAGES, _arch_coords
 from .priorband import RunHistory, RunResult, write_history_csv
 
 
@@ -270,27 +269,16 @@ def _history_matrix(
     space = history.space
     entries = history.costs_at_highest_budget()
     configs = history.configurations()
-    names = list(space.names)
     categorical: dict[int, int] = {
         i: s.n_choices
         for i, s in enumerate(space.parameters)
         if s.kind == CATEGORICAL
     }
-    with_arch = space.grammar is not None
-    if with_arch:
-        names += [ARCH_STAGES, ARCH_BLOCKS]
-    rows, ys = [], []
-    for cid, cost in entries:
-        config = configs[cid]
-        row = [space[n].to_unit(config.assignments[n]) for n in space.names]
-        if with_arch:
-            coords = _arch_coords(space, config)
-            row += [coords[ARCH_STAGES], coords[ARCH_BLOCKS]]
-        rows.append(row)
-        ys.append(cost.primary)
+    rows = [normalize(space, configs[cid]) for cid, _ in entries]
+    ys = [cost.primary for _, cost in entries]
     X = np.array(rows, dtype=float)
     y = np.array(ys, dtype=float)
-    return X, y, names, categorical
+    return X, y, coordinate_names(space), categorical
 
 
 def fanova_first_order(

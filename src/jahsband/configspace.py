@@ -32,6 +32,9 @@ _KINDS = (FLOAT, LOG_FLOAT, INTEGER, ORDINAL, CATEGORICAL)
 CONFIDENCE_SIGMA = {"low": 0.5, "medium": 0.25, "high": 0.125}
 #: boosted-default categorical multiplier per confidence level
 CONFIDENCE_MULTIPLIER = {"low": 2.0, "medium": 4.0, "high": 8.0}
+#: names of the two architecture coordinates a grammar adds
+ARCH_STAGES = "arch.n_stages"
+ARCH_BLOCKS = "arch.total_blocks"
 
 
 class SpaceError(ValueError):
@@ -72,13 +75,13 @@ def _truncnorm_sample(
     return float(mu + sigma * ndtri(u))
 
 
-def _truncnorm_pdf(x: float, mu: float, sigma: float) -> float:
-    """Density at x of a normal(mu, sigma) truncated to [0, 1]."""
+def _truncnorm_logpdf(x: float, mu: float, sigma: float) -> float:
+    """Log density at x of a normal(mu, sigma) truncated to [0, 1]."""
     if not 0.0 <= x <= 1.0:
-        return 0.0
+        return -math.inf
     z = (x - mu) / sigma
     mass = ndtr((1.0 - mu) / sigma) - ndtr((0.0 - mu) / sigma)
-    return float(math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi) * mass))
+    return -0.5 * z * z - math.log(sigma * math.sqrt(2.0 * math.pi) * mass)
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,10 @@ class ParameterSpec:
         """
         if not self.contains(value):
             raise OutOfDomainError(f"{self.name}: {value!r} outside domain")
+        return self._unit(value)
+
+    def _unit(self, value: Any) -> float:
+        """:meth:`to_unit` of a value already known to be in the domain."""
         if self.kind == FLOAT or self.kind == INTEGER:
             return (float(value) - self.lo) / (self.hi - self.lo)
         if self.kind == LOG_FLOAT:
@@ -176,15 +183,6 @@ class ParameterSpec:
             idx = _round_half_up(coord)
         idx = min(max(idx, 0), self.n_choices - 1)
         return self.values[idx]
-
-    def category_probs(self, center_value: Any, confidence: str) -> np.ndarray:
-        """Boosted-default distribution: the center category gets weight m,
-        every other category weight 1, normalized."""
-        assert self.kind == CATEGORICAL
-        m = CONFIDENCE_MULTIPLIER[confidence]
-        probs = np.full(self.n_choices, 1.0 / (m + self.n_choices - 1))
-        probs[self.values.index(center_value)] = m / (m + self.n_choices - 1)
-        return probs
 
 
 @dataclass(frozen=True)
@@ -263,31 +261,24 @@ def build_space(specs: Sequence[ParameterSpec], grammar=None) -> SearchSpace:
     return SearchSpace(specs, grammar)
 
 
-def normalize(space: SearchSpace, config: Configuration) -> np.ndarray:
-    """Normalized coordinates of a configuration, in parameter order.
+def coordinate_names(space: SearchSpace) -> list[str]:
+    """Names of the coordinates :func:`normalize` returns, in order."""
+    names = list(space.names)
+    if space.grammar is not None:
+        names += [ARCH_STAGES, ARCH_BLOCKS]
+    return names
 
+
+def normalize(space: SearchSpace, config: Configuration) -> list[float]:
+    """The one encoder: a configuration's coordinates, one per parameter in
+    order, then ``Grammar.unit_features`` when the space has a grammar.
     Categorical entries hold the raw category index; everything else lies in
-    [0, 1].
-    """
+    [0, 1]. The configuration is validated once, here."""
     space.validate(config)
-    return np.array(
-        [s.to_unit(config.assignments[s.name]) for s in space.parameters]
-    )
-
-
-def denormalize(space: SearchSpace, coords: np.ndarray) -> Configuration:
-    """Inverse of :func:`normalize` (integer-like kinds round to the nearest
-    index). The result never carries a derivation."""
-    if len(coords) != len(space.parameters):
-        raise UnknownParameterError(
-            f"expected {len(space.parameters)} coordinates, got {len(coords)}"
-        )
-    return Configuration(
-        {
-            s.name: s.from_unit(float(c))
-            for s, c in zip(space.parameters, coords)
-        }
-    )
+    row = [s._unit(config.assignments[s.name]) for s in space.parameters]
+    if space.grammar is not None:
+        row += space.grammar.unit_features(config.derivation)
+    return row
 
 
 # sampling strategies
@@ -311,13 +302,13 @@ def _sample_param_prior(
     rng: np.random.Generator, spec: ParameterSpec, center: Any, confidence: str
 ) -> Any:
     if spec.kind == CATEGORICAL:
-        probs = spec.category_probs(center, confidence)
-        return spec.values[int(rng.choice(spec.n_choices, p=probs))]
+        # boosted default: weight m on the center category, 1 on the others
+        m, k = CONFIDENCE_MULTIPLIER[confidence], spec.n_choices
+        probs = np.full(k, 1.0 / (m + k - 1))
+        probs[spec.values.index(center)] = m / (m + k - 1)
+        return spec.values[int(rng.choice(k, p=probs))]
     sigma = CONFIDENCE_SIGMA[confidence]
     mu = spec.to_unit(center)
-    if spec.kind == ORDINAL:
-        # index units: treat the K positions as an integer scale
-        mu = spec.values.index(center) / max(spec.n_choices - 1, 1)
     coord = _truncnorm_sample(rng, mu, sigma)
     return spec.from_unit(coord)
 
@@ -386,33 +377,51 @@ def sample(
     return Configuration(assignments, derivation)
 
 
+def log_density(
+    space: SearchSpace,
+    row: Sequence[float],
+    center: Sequence[float],
+    confidence: str | None = None,
+) -> float:
+    """Log density of the :func:`normalize` row ``row`` under the prior-style
+    distribution centered at the row ``center``: a sum over parameters of
+    truncated-normal log densities (numeric kinds) and log boosted-default
+    category probabilities.
+
+    With ``confidence=None`` each parameter uses its own declared confidence.
+    Architecture coordinates do not enter the sum.
+    """
+    total = 0.0
+    for spec, x, c in zip(space.parameters, row, center):
+        conf = confidence or spec.prior_confidence
+        if spec.kind == CATEGORICAL:
+            m = CONFIDENCE_MULTIPLIER[conf]
+            total += math.log((m if x == c else 1) / (m + spec.n_choices - 1))
+        else:
+            total += _truncnorm_logpdf(x, c, CONFIDENCE_SIGMA[conf])
+    return total
+
+
+def log_prior_pdf(
+    space: SearchSpace,
+    config: Configuration,
+    center: Configuration,
+    confidence: str | None = None,
+) -> float:
+    """:func:`log_density` of ``config`` around ``center``."""
+    return log_density(
+        space, normalize(space, config), normalize(space, center), confidence
+    )
+
+
 def prior_pdf(
     space: SearchSpace,
     config: Configuration,
     center: Configuration,
     confidence: str | None = None,
 ) -> float:
-    """Density of ``config`` under the prior-style distribution centered at
-    ``center``: a product of per-parameter truncated-normal densities
-    (numeric kinds) and boosted-default category probabilities.
-
-    With ``confidence=None`` each parameter uses its own declared confidence.
-    Architecture derivations do not enter the product.
-    """
-    space.validate(config)
-    space.validate(center)
-    score = 1.0
-    for spec in space.parameters:
-        value = config.assignments[spec.name]
-        c_value = center.assignments[spec.name]
-        conf = confidence or spec.prior_confidence
-        if spec.kind == CATEGORICAL:
-            probs = spec.category_probs(c_value, conf)
-            score *= float(probs[spec.values.index(value)])
-        else:
-            sigma = CONFIDENCE_SIGMA[conf]
-            score *= _truncnorm_pdf(spec.to_unit(value), spec.to_unit(c_value), sigma)
-    return score
+    """``exp`` of :func:`log_prior_pdf`; it underflows to 0.0 in wide spaces."""
+    return math.exp(log_prior_pdf(space, config, center, confidence))
 
 
 # declarative space files

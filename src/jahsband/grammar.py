@@ -122,6 +122,18 @@ class Grammar:
         residual = sum(caps[f"REB_{i}"] for i in range(1, n + 1))
         return 2 * self.n_stages_min - 1, max(conv, residual) + decoder
 
+    def unit_features(self, derivation: Derivation) -> tuple[float, float]:
+        """Two coordinates in [0, 1] summarizing a U-Net derivation: its stage
+        count and its total block count, each relative to this grammar's
+        range."""
+        feats = extract_features(derivation)
+        lo, hi = self.n_stages_min, self.n_stages_max
+        stages = (feats.n_stages - lo) / (hi - lo) if hi > lo else 0.0
+        min_total, max_total = self.total_blocks_range
+        blocks = (feats.total_blocks - min_total) / (max_total - min_total) \
+            if max_total > min_total else 0.0
+        return stages, blocks
+
 
 def build_grammar(
     n_stages_max: int,

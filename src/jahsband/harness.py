@@ -23,8 +23,15 @@ from typing import Any
 
 import numpy as np
 
-from .configspace import CATEGORICAL, Configuration, SearchSpace
-from .grammar import extract_features, serialize
+from .configspace import (
+    ARCH_BLOCKS,
+    CATEGORICAL,
+    Configuration,
+    SearchSpace,
+    coordinate_names,
+    normalize,
+)
+from .grammar import serialize
 
 
 class BudgetOutOfRangeError(ValueError):
@@ -94,43 +101,17 @@ def config_key(config: Configuration) -> str:
 
 #: parameter names treated as capacity knobs that scale runtime
 DEFAULT_SIZE_PARAMETER_NAMES = ("Model Scale", "Base #Features", "Max. #Features")
-ARCH_STAGES = "arch.n_stages"
-ARCH_BLOCKS = "arch.total_blocks"
-
-
-def _arch_coords(space: SearchSpace, config: Configuration) -> dict[str, float]:
-    """Two pseudo-coordinates in [0, 1] summarizing a derivation: relative
-    stage count and relative total block count over the grammar's range."""
-    g = space.grammar
-    feats = extract_features(config.derivation)
-    lo, hi = g.n_stages_min, g.n_stages_max
-    stages = (feats.n_stages - lo) / (hi - lo) if hi > lo else 0.0
-    min_total, max_total = g.total_blocks_range
-    blocks = (feats.total_blocks - min_total) / (max_total - min_total) \
-        if max_total > min_total else 0.0
-    return {ARCH_STAGES: stages, ARCH_BLOCKS: blocks}
 
 
 def unit_coordinates(space: SearchSpace, config: Configuration) -> dict[str, float]:
-    """Coordinates in the unit cube, one per parameter plus the architecture
-    pseudo-parameters when the space carries a grammar. Categorical indices
-    are rescaled by 1/(K-1) so every coordinate lies in [0, 1]."""
-    coords: dict[str, float] = {}
-    for spec in space.parameters:
-        u = spec.to_unit(config.assignments[spec.name])
+    """The :func:`~jahsband.configspace.normalize` row by coordinate name,
+    with categorical indices rescaled by 1/(K-1) so every coordinate lies in
+    [0, 1]."""
+    row = normalize(space, config)
+    for i, spec in enumerate(space.parameters):
         if spec.kind == CATEGORICAL and spec.n_choices > 1:
-            u /= spec.n_choices - 1
-        coords[spec.name] = u
-    if space.grammar is not None:
-        coords.update(_arch_coords(space, config))
-    return coords
-
-
-def coordinate_names(space: SearchSpace) -> list[str]:
-    names = list(space.names)
-    if space.grammar is not None:
-        names += [ARCH_STAGES, ARCH_BLOCKS]
-    return names
+            row[i] /= spec.n_choices - 1
+    return dict(zip(coordinate_names(space), row))
 
 
 @dataclass(frozen=True)
@@ -371,7 +352,9 @@ class ExternalEvaluator:
     One JSON object per line on the child's stdin/stdout. Request:
     {"id", "config", "architecture", "budget", "previous_budget", "seed"};
     response: {"id", "status": "ok"|"failed", "objectives": {"primary",
-    "runtime_hours"}}. previous_budget signals run continuation.
+    "runtime_hours"}}. previous_budget signals run continuation. A child
+    that exits, closes its output or misses the timeout is killed; that
+    request fails and the next one starts a fresh child from the same argv.
     """
 
     def __init__(
@@ -429,6 +412,7 @@ class ExternalEvaluator:
                 self._proc.stdin.write(json.dumps(request) + "\n")
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
+                self._discard()
                 raise ProtocolError(f"evaluator pipe broken: {exc}") from exc
             line = self._read_line()
         try:
@@ -462,22 +446,29 @@ class ExternalEvaluator:
         thread.start()
         thread.join(self.timeout)
         if thread.is_alive():
-            # the late reply would be read as the answer to a later request:
-            # kill the child, whose closed pipe ends this reader, and start
-            # a fresh one for the next request
-            proc, self._proc = self._proc, None
-            proc.kill()
-            proc.wait()
-            _close_quietly(proc.stdin)
-            # a process the child started may still hold the pipe open; its
-            # reader then keeps the pipe, which closing would block on
-            thread.join(1.0)
-            if not thread.is_alive():
-                proc.stdout.close()
+            # the late reply would be read as the answer to a later request
+            self._discard(thread)
             raise EvaluatorTimeout(f"no response within {self.timeout}s")
         if not result or not result[0]:
+            self._discard()
             raise ProtocolError("evaluator closed its output")
         return result[0]
+
+    def _discard(self, reader: threading.Thread | None = None) -> None:
+        """Kill the child and drop it, so the next request starts a fresh one
+        and a dead or late child costs one trial. A ``reader`` still blocked
+        on the child's output ends when the killed child's pipe closes."""
+        proc, self._proc = self._proc, None
+        proc.kill()
+        proc.wait()
+        _close_quietly(proc.stdin)
+        if reader is not None:
+            # a process the child started may still hold the pipe open; the
+            # reader then keeps the pipe, which closing would block on
+            reader.join(1.0)
+            if reader.is_alive():
+                return
+        proc.stdout.close()
 
     def close(self) -> None:
         proc = self._proc

@@ -157,8 +157,10 @@ def dynamic_weighting(
     the current top configurations under each center's distribution.
 
     Top means the best-by-primary ceil(n/eta) configurations, judged at each
-    configuration's highest completed budget. Identical centers give exactly
-    (0.5, 0.5); so do two centers under which the top set has zero density.
+    configuration's highest completed budget. Each configuration is encoded
+    once and scored in log space, relative to the largest log density, so
+    the shares stay defined where every plain density underflows to 0.0.
+    Identical centers give exactly (0.5, 0.5).
     """
     if not history.max_budget_trials():
         raise NoMaxBudgetTrialError("need a completed top-budget trial")
@@ -166,12 +168,13 @@ def dynamic_weighting(
     ranked = sorted(entries, key=lambda e: (e[1].primary, e[1].runtime_hours, e[0]))
     n_top = max(1, math.ceil(len(ranked) / history.ladder.eta))
     configs = history.configurations()
-    top = [configs[cid] for cid, _ in ranked[:n_top]]
-    score_prior = sum(cs.prior_pdf(history.space, c, prior_center) for c in top)
-    score_inc = sum(cs.prior_pdf(history.space, c, incumbent) for c in top)
+    space = history.space
+    rows = [cs.normalize(space, configs[cid]) for cid, _ in ranked[:n_top]]
+    centers = [cs.normalize(space, c) for c in (prior_center, incumbent)]
+    logs = [[cs.log_density(space, row, c) for row in rows] for c in centers]
+    peak = max(map(max, logs))
+    score_prior, score_inc = (sum(math.exp(v - peak) for v in ls) for ls in logs)
     total = score_prior + score_inc
-    if total <= 0.0:
-        return 0.5, 0.5
     return score_prior / total, score_inc / total
 
 

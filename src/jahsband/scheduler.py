@@ -140,18 +140,15 @@ def enumerate_schedule(plan: BracketPlan) -> list[dict[str, int]]:
 
 def schedule_epochs(plan: BracketPlan, mode: str = "restart") -> int:
     """Total epochs the plan spends across all brackets under one accounting
-    mode, excluding any seeding evaluation."""
+    mode, excluding any seeding evaluation: the :func:`charge_cost` of each
+    configuration's chain of budgets up to the rung it stops at."""
+    budgets = plan.ladder.rung_budgets
     total = 0
     for bracket in plan.brackets:
-        budgets = plan.ladder.rung_budgets
-        prev = None
-        for offset, count in enumerate(bracket.rung_counts):
-            b = budgets[bracket.start_rung + offset]
-            if mode == "restart" or prev is None:
-                total += count * b
-            else:
-                total += count * (b - prev)
-            prev = b
+        counts = bracket.rung_counts
+        for offset, (count, promoted) in enumerate(zip(counts, counts[1:] + (0,))):
+            chain = budgets[bracket.start_rung : bracket.start_rung + offset + 1]
+            total += (count - promoted) * charge_cost(list(chain), mode)
     return total
 
 

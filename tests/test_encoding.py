@@ -1,0 +1,168 @@
+"""The configuration encoder: ``configspace.normalize`` and what is built on
+it, pinned bit for bit."""
+
+import math
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jahsband import configspace as cs
+from jahsband import grammar as hg
+from jahsband.harness import SyntheticProblem
+
+SPACE_FILE = Path(__file__).resolve().parents[1] / "spaces" / "jahs_table3_4.json"
+
+
+def pinned_configurations(space):
+    default = space.default_configuration()
+    return [
+        default,
+        cs.sample(space, "uniform", 1),
+        cs.sample(space, "uniform", 2),
+        cs.sample(space, "prior", 3),
+        cs.sample(space, ("around", default), 4),
+    ]
+
+
+# float.hex per configuration of: the noise-free problem at budgets 1 and 243
+# (primary, runtime; primary), then the noisy problem at 243 (primary,
+# runtime), recorded before the encoder was unified
+EVALUATE_HEX = [
+    ("0x1.fffcf51f0ece8p-1", "0x1.930e65c2a88d0p-8", "0x1.ff14610a477b4p-1",
+     "0x0.0p+0", "0x1.7e96aa97c5fddp+0"),
+    ("0x1.ffba363babeb7p-1", "0x1.cdf47ac30d001p-8", "0x1.eae35f7d9b4d9p-1",
+     "0x1.0000000000000p+0", "0x1.b67f108725570p+0"),
+    ("0x1.ffd3235b7b2a8p-1", "0x1.2b05326685e3ap-7", "0x1.f26dbf03070dfp-1",
+     "0x1.e32b6414cfad6p-1", "0x1.1bd5eed75116fp+1"),
+    ("0x1.fffe455cb1ad0p-1", "0x1.2d14f2da2a5ebp-8", "0x1.ff7a18a5321b9p-1",
+     "0x1.59b6af1170e55p-2", "0x1.1dcae2851637ep+0"),
+    ("0x1.fff849126f994p-1", "0x1.23cddb141f099p-7", "0x1.fdaa8eff53fdap-1",
+     "0x1.d307367d5badfp-1", "0x1.14fc66f419762p+1"),
+]
+
+# float.hex per configuration of prior_pdf around the default with each
+# parameter's own confidence, and around the second configuration at "high",
+# recorded when prior_pdf was still a plain product of densities
+PRIOR_PDF_HEX = [
+    ("0x1.645448c6eb64ap+5", "0x1.cb37868b0da72p-76"),
+    ("0x1.b802b25c5e780p-24", "0x1.8b00ff9ce7f8fp+14"),
+    ("0x1.8f308a7eeb4f1p-23", "0x1.88e23e93a1962p-124"),
+    ("0x1.05355946dfaf4p+1", "0x1.3799d4190c8e6p-100"),
+    ("0x1.98aa8f082dc02p-6", "0x1.04c35d7136c3dp-76"),
+]
+
+# float.hex of log_prior_pdf for the same pairs
+LOG_PRIOR_PDF_HEX = [
+    ("0x1.e5f0e15557cb6p+1", "-0x1.a0c23bc004e0cp+5"),
+    ("-0x1.0180a8efb24d4p+4", "0x1.4468aeec670a6p+3"),
+    ("-0x1.eff0a6169ee36p+3", "-0x1.561670a1338e7p+6"),
+    ("0x1.6d341ea9f6671p-1", "-0x1.1479022a47435p+6"),
+    ("-0x1.d877fcd53df1cp+1", "-0x1.a54937a4df508p+5"),
+]
+
+
+def test_synthetic_evaluate_bits_pinned():
+    space = cs.load_space(SPACE_FILE)
+    plain = SyntheticProblem.from_space(space, optimum="random", b_max=243)
+    noisy = SyntheticProblem.from_space(
+        space, optimum="default", b_max=243, noise=0.02
+    )
+    for config, want in zip(pinned_configurations(space), EVALUATE_HEX):
+        low, top = plain.evaluate(config, 1), plain.evaluate(config, 243)
+        noisy_top = noisy.evaluate(config, 243, seed=7)
+        got = (low.primary, low.runtime_hours, top.primary,
+               noisy_top.primary, noisy_top.runtime_hours)
+        assert tuple(v.hex() for v in got) == want
+
+
+def test_prior_pdf_bits_pinned():
+    space = cs.load_space(SPACE_FILE)
+    configs = pinned_configurations(space)
+    for config, want_log, want in zip(configs, LOG_PRIOR_PDF_HEX, PRIOR_PDF_HEX):
+        pairs = ((configs[0], None), (configs[1], "high"))
+        got = [cs.log_prior_pdf(space, config, c, conf) for c, conf in pairs]
+        assert tuple(v.hex() for v in got) == want_log
+        # exp of a sum of logs differs from the product in the last bits
+        for (center, conf), product in zip(pairs, want):
+            assert math.isclose(
+                cs.prior_pdf(space, config, center, conf),
+                float.fromhex(product), rel_tol=1e-13,
+            )
+
+
+# normalize against an independent per-kind formula
+
+def _reference_coordinate(spec, value):
+    if spec.kind in ("float", "integer"):
+        return (value - spec.lo) / (spec.hi - spec.lo)
+    if spec.kind == "log_float":
+        return (math.log(value) - math.log(spec.lo)) / (
+            math.log(spec.hi) - math.log(spec.lo)
+        )
+    index = spec.values.index(value)
+    if spec.kind == "ordinal":
+        return index / (len(spec.values) - 1) if len(spec.values) > 1 else 0.0
+    return float(index)
+
+
+def _reference_arch(grammar, derivation):
+    feats = hg.extract_features(derivation)
+    lo, hi = grammar.n_stages_min, grammar.n_stages_max
+    min_total, max_total = grammar.total_blocks_range
+    return [
+        (feats.n_stages - lo) / (hi - lo) if hi > lo else 0.0,
+        (feats.total_blocks - min_total) / (max_total - min_total)
+        if max_total > min_total else 0.0,
+    ]
+
+
+@st.composite
+def spec_strategy(draw, index):
+    kind = draw(st.sampled_from(cs._KINDS))
+    name = f"x{index}"
+    if kind in ("float", "log_float"):
+        lo = draw(st.floats(1e-6, 100.0))
+        hi = lo + draw(st.floats(1e-3, 1000.0))
+        return cs.ParameterSpec(name, kind, lo=lo, hi=hi, default=lo)
+    if kind == "integer":
+        lo = draw(st.integers(-50, 50))
+        hi = lo + draw(st.integers(1, 100))
+        return cs.ParameterSpec(name, kind, lo=lo, hi=hi, default=hi)
+    if kind == "ordinal":
+        values = tuple(draw(st.lists(
+            st.integers(-20, 20), min_size=1, max_size=6, unique=True
+        )))
+    else:
+        values = tuple(draw(st.lists(
+            st.text("abc", min_size=1, max_size=3), min_size=1, max_size=6,
+            unique=True,
+        )))
+    return cs.ParameterSpec(name, kind, values=values, default=values[0])
+
+
+@st.composite
+def space_strategy(draw):
+    n = draw(st.integers(0, 6))
+    specs = [draw(spec_strategy(i)) for i in range(n)]
+    stages = draw(st.one_of(st.none(), st.integers(2, 5)))
+    grammar = None
+    if stages is not None or not specs:
+        grammar = hg.build_grammar(stages or 2, draw(st.integers(1, 2)))
+    return cs.build_space(specs, grammar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=space_strategy(), seed=st.integers(0, 2**32 - 1))
+def test_normalize_matches_reference(space, seed):
+    for strategy in ("uniform", "prior"):
+        config = cs.sample(space, strategy, seed)
+        row = cs.normalize(space, config)
+        want = [
+            _reference_coordinate(spec, config[spec.name]) for spec in space
+        ]
+        if space.grammar is not None:
+            want += _reference_arch(space.grammar, config.derivation)
+        assert row == want
+        assert all(type(v) is float for v in row)
+        assert len(row) == len(cs.coordinate_names(space))

@@ -63,6 +63,14 @@ for line in sys.stdin:
                       "objectives": {"primary": 0.5, "runtime_hours": 1.0}}),
           flush=True)
 """
+# answers one request, then exits
+ONE_SHOT_EVALUATOR = """\
+import sys, json
+req = json.loads(sys.stdin.readline())
+print(json.dumps({"id": req["id"], "status": "ok",
+                  "objectives": {"primary": 0.5, "runtime_hours": 1.0}}),
+      flush=True)
+"""
 def make_evaluator(tmp_path, body, space, b_max=100, timeout=60.0):
     script = tmp_path / "evaluator.py"
     script.write_text(body)
@@ -245,6 +253,20 @@ class TestExternalEvaluator:
                 evaluator.evaluate(config, 10)
             for _ in range(3):
                 assert evaluator.evaluate(config, 10) == Objectives(0.5, 1.0)
+    def test_dead_child_costs_one_request(self, tmp_path):
+        space = float_space(1)
+        config = space.default_configuration()
+        outcomes = []
+        with make_evaluator(tmp_path, ONE_SHOT_EVALUATOR, space) as evaluator:
+            for _ in range(8):
+                try:
+                    outcomes.append(evaluator.evaluate(config, 10))
+                except ProtocolError:
+                    outcomes.append(None)
+        assert outcomes[0] == Objectives(0.5, 1.0)
+        assert all(a is not None or b is not None
+                   for a, b in zip(outcomes, outcomes[1:]))
+        assert outcomes.count(Objectives(0.5, 1.0)) >= 4
     def test_spawn_failure(self):
         with pytest.raises(EvaluationFailed):
             ExternalEvaluator(["/no/such/binary"], float_space(1), 10)

@@ -209,6 +209,27 @@ class TestDynamicWeighting:
         p_prior, p_inc = dynamic_weighting(history, prior_center, far)
         assert p_prior > p_inc
 
+    def test_wide_space_weights_in_log_space(self):
+        # 200 floats at high confidence: the plain density of every top
+        # configuration underflows to 0.0 under both centers, although the
+        # top set lies much nearer the prior center than the incumbent
+        space = float_space(200, default=0.0, confidence="high")
+        rng = np.random.default_rng(0)
+        rows = [
+            (cs.Configuration({n: float(rng.uniform(0.35, 0.55))
+                               for n in space.names}), 0.1 + 0.01 * i, 1.0)
+            for i in range(9)
+        ]
+        history = history_from_table(space, rows)
+        prior_center = space.default_configuration()
+        far = cs.Configuration({n: 1.0 for n in space.names})
+        for config, _, _ in rows:
+            assert cs.prior_pdf(space, config, prior_center) == 0.0
+            assert cs.prior_pdf(space, config, far) == 0.0
+        p_prior, p_inc = dynamic_weighting(history, prior_center, far)
+        assert p_prior > 0.5
+        assert p_prior + p_inc == pytest.approx(1.0)
+
     def test_requires_max_budget_trial(self):
         space, _, ladder = small_setup()
         history = RunHistory(space, ladder)

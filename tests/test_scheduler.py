@@ -113,6 +113,26 @@ class TestScheduleTotals:
         assert schedule_epochs(plan, "restart") == 23441
         assert schedule_epochs(plan, "continuation") == 19491
 
+    def test_unknown_mode_rejected(self):
+        plan = bracket_plan(budget_ladder(1, 243, 3), "standard-hb")
+        with pytest.raises(ValueError):
+            schedule_epochs(plan, "bogus")
+
+    @pytest.mark.parametrize("policy", ["standard-hb", "as-written"])
+    @pytest.mark.parametrize(
+        "ladder", [(1, 243, 3), (10, 1000, 3), (1, 100, 2), (5, 500, 4)]
+    )
+    def test_continuation_charges_each_rung_increment(self, ladder, policy):
+        plan = bracket_plan(budget_ladder(*ladder), policy)
+        budgets = plan.ladder.rung_budgets
+        expected = 0
+        for bracket in plan.brackets:
+            for offset, count in enumerate(bracket.rung_counts):
+                rung = bracket.start_rung + offset
+                prev = budgets[rung - 1] if offset else 0
+                expected += count * (budgets[rung] - prev)
+        assert schedule_epochs(plan, "continuation") == expected
+
     def test_enumeration_consistent_with_totals(self):
         plan = bracket_plan(budget_ladder(10, 1000, 3), "standard-hb")
         rows = enumerate_schedule(plan)
