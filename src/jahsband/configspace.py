@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
 
@@ -286,6 +288,31 @@ def normalize(space: SearchSpace, config: Configuration) -> list[float]:
 Strategy = Union[str, tuple]
 
 
+def choice_cdf(probs: Sequence[float]) -> tuple[float, ...]:
+    """The CDF ``Generator.choice(k, p=probs)`` searches, computed with the
+    same operations (cumulative sum, then division by its last entry), so
+    :func:`draw_index` on it reproduces that ``choice`` bit for bit."""
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+@lru_cache(maxsize=1024)
+def boosted_cdf(k: int, m: float, favored: int) -> tuple[float, ...]:
+    """:func:`choice_cdf` of the boosted-default distribution over ``k``
+    choices: weight ``m`` on index ``favored``, 1 on every other."""
+    probs = np.full(k, 1.0 / (m + k - 1))
+    probs[favored] = m / (m + k - 1)
+    return choice_cdf(probs)
+
+
+def draw_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+    """One index drawn from ``cdf`` with exactly one ``rng.random()``: the
+    index ``rng.choice(len(cdf), p=probs)`` returns, leaving the stream where
+    it leaves it. A zero-probability index is never drawn."""
+    return bisect_right(cdf, rng.random())
+
+
 def _sample_param_uniform(rng: np.random.Generator, spec: ParameterSpec) -> Any:
     if spec.kind == FLOAT:
         return float(rng.uniform(spec.lo, spec.hi))
@@ -302,11 +329,12 @@ def _sample_param_prior(
     rng: np.random.Generator, spec: ParameterSpec, center: Any, confidence: str
 ) -> Any:
     if spec.kind == CATEGORICAL:
-        # boosted default: weight m on the center category, 1 on the others
-        m, k = CONFIDENCE_MULTIPLIER[confidence], spec.n_choices
-        probs = np.full(k, 1.0 / (m + k - 1))
-        probs[spec.values.index(center)] = m / (m + k - 1)
-        return spec.values[int(rng.choice(k, p=probs))]
+        cdf = boosted_cdf(
+            spec.n_choices,
+            CONFIDENCE_MULTIPLIER[confidence],
+            spec.values.index(center),
+        )
+        return spec.values[draw_index(rng, cdf)]
     sigma = CONFIDENCE_SIGMA[confidence]
     mu = spec.to_unit(center)
     coord = _truncnorm_sample(rng, mu, sigma)

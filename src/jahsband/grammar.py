@@ -30,6 +30,8 @@ from .configspace import (
     CONFIDENCE_SIGMA,
     _round_half_up,
     _truncnorm_sample,
+    boosted_cdf,
+    draw_index,
 )
 
 Derivation = tuple  # (lhs, alt_index, children)
@@ -409,9 +411,7 @@ def sample_derivation(
             default_alt = encoder_alt
         else:
             default_alt = defaults.get(nt, 0)
-        probs = np.full(n_alts, 1.0 / (m + n_alts - 1))
-        probs[default_alt] = m / (m + n_alts - 1)
-        return int(rng.choice(n_alts, p=probs))
+        return draw_index(rng, boosted_cdf(n_alts, m, default_alt))
 
     return _build(grammar, grammar.start, choose)
 

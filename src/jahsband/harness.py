@@ -353,7 +353,8 @@ class ExternalEvaluator:
     {"id", "config", "architecture", "budget", "previous_budget", "seed"};
     response: {"id", "status": "ok"|"failed", "objectives": {"primary",
     "runtime_hours"}}. previous_budget signals run continuation. A child
-    that exits, closes its output or misses the timeout is killed; that
+    that exits, closes its output, misses the timeout or answers with a line
+    that is not a JSON object carrying the request's id is killed; that
     request fails and the next one starts a fresh child from the same argv.
     """
 
@@ -415,14 +416,20 @@ class ExternalEvaluator:
                 self._discard()
                 raise ProtocolError(f"evaluator pipe broken: {exc}") from exc
             line = self._read_line()
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed response: {line!r}") from exc
-        if response.get("id") != request_id:
-            raise ProtocolError(
-                f"response id {response.get('id')!r} != request id {request_id!r}"
-            )
+            try:
+                response = json.loads(line)
+            except json.JSONDecodeError:
+                response = None
+            # after a stray or unreadable line the child's replies may be out
+            # of step with its requests, so it is replaced like a dead child
+            if not isinstance(response, dict):
+                self._discard()
+                raise ProtocolError(f"malformed response: {line!r}")
+            if response.get("id") != request_id:
+                self._discard()
+                raise ProtocolError(
+                    f"response id {response.get('id')!r} != request id {request_id!r}"
+                )
         if response.get("status") == "failed":
             raise EvaluatorReportedFailure(str(response.get("error", "failed")))
         if response.get("status") != "ok":

@@ -70,6 +70,8 @@ class RunHistory:
         self.run_seed = run_seed
         self.trials: list[Trial] = []
         self._configs: dict[int, Configuration] = {}
+        # config_id -> encoded row of self._configs[config_id]
+        self._rows: dict[int, tuple[float, ...]] = {}
         # per config_id, its completed trial at the highest budget
         self._best: dict[int, Trial] = {}
         # first front over self._best; None once a best trial has changed
@@ -81,7 +83,9 @@ class RunHistory:
 
     def add(self, trial: Trial) -> None:
         self.trials.append(trial)
-        self._configs[trial.config_id] = trial.configuration
+        if self._configs.get(trial.config_id) is not trial.configuration:
+            self._configs[trial.config_id] = trial.configuration
+            self._rows.pop(trial.config_id, None)
         if trial.status != "ok" or trial.cost is None:
             return
         best = self._best.get(trial.config_id)
@@ -95,6 +99,17 @@ class RunHistory:
     def configurations(self) -> Mapping[int, Configuration]:
         """Read-only config_id -> configuration (the latest trial's)."""
         return MappingProxyType(self._configs)
+
+    def row(self, config_id: int) -> tuple[float, ...]:
+        """The :func:`configspace.normalize` row of a configuration, encoded
+        on first use and kept until its config_id is added again with
+        another configuration."""
+        row = self._rows.get(config_id)
+        if row is None:
+            row = self._rows[config_id] = tuple(
+                cs.normalize(self.space, self._configs[config_id])
+            )
+        return row
 
     def costs_at_highest_budget(self) -> list[tuple[int, CostVector]]:
         """Per configuration: its cost at the highest budget it completed,
@@ -158,8 +173,9 @@ def dynamic_weighting(
 
     Top means the best-by-primary ceil(n/eta) configurations, judged at each
     configuration's highest completed budget. Each configuration is encoded
-    once and scored in log space, relative to the largest log density, so
-    the shares stay defined where every plain density underflows to 0.0.
+    once per history (:meth:`RunHistory.row`) and scored in log space,
+    relative to the largest log density, so the shares stay defined where
+    every plain density underflows to 0.0.
     Identical centers give exactly (0.5, 0.5).
     """
     if not history.max_budget_trials():
@@ -167,9 +183,8 @@ def dynamic_weighting(
     entries = history.costs_at_highest_budget()
     ranked = sorted(entries, key=lambda e: (e[1].primary, e[1].runtime_hours, e[0]))
     n_top = max(1, math.ceil(len(ranked) / history.ladder.eta))
-    configs = history.configurations()
     space = history.space
-    rows = [cs.normalize(space, configs[cid]) for cid, _ in ranked[:n_top]]
+    rows = [history.row(cid) for cid, _ in ranked[:n_top]]
     centers = [cs.normalize(space, c) for c in (prior_center, incumbent)]
     logs = [[cs.log_density(space, row, c) for row in rows] for c in centers]
     peak = max(map(max, logs))
@@ -298,11 +313,10 @@ def run(
             # the history is constant while a bracket samples, so its
             # center is computed once, on the first incumbent draw
             center: Configuration | None = None
+            strategy_cdf = cs.choice_cdf(weights.as_array())
             members: list[tuple[int, Configuration, str]] = []
             for _ in range(bracket.n_configs):
-                strategy = STRATEGIES[
-                    int(rng.choice(3, p=weights.as_array()))
-                ]
+                strategy = STRATEGIES[cs.draw_index(rng, strategy_cdf)]
                 if strategy == "random":
                     config = cs.sample(space, "uniform", rng)
                 elif strategy == "prior":

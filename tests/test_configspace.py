@@ -1,12 +1,17 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
 from jahsband import configspace as cs
+from jahsband.grammar import serialize
+from jahsband.priorband import SamplerWeights
 
 from conftest import float_space
 
@@ -214,3 +219,59 @@ class TestPriorPdf:
                 cs.Configuration({"p0": 1.5}),
                 cs.Configuration({"p0": 0.5}),
             )
+
+
+class TestDraw:
+    """``draw_index`` on a cached CDF against ``Generator.choice(k, p=...)``:
+    the same index and the same position in the random stream."""
+
+    @staticmethod
+    def assert_draws_match(seed, cdf, probs, n=8):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n):
+            idx = cs.draw_index(ours, cdf)
+            assert idx == int(reference.choice(len(probs), p=probs))
+            assert probs[idx] > 0
+        assert ours.random() == reference.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           m=st.sampled_from(sorted(cs.CONFIDENCE_MULTIPLIER.values())),
+           data=st.data())
+    def test_boosted_matches_choice(self, seed, k, m, data):
+        favored = data.draw(st.integers(0, k - 1))
+        probs = np.full(k, 1.0 / (m + k - 1))
+        probs[favored] = m / (m + k - 1)
+        self.assert_draws_match(seed, cs.boosted_cdf(k, m, favored), probs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           random=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+           prior=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0))
+    def test_strategy_weights_match_choice(self, seed, random, prior):
+        rest = 1.0 - random
+        probs = SamplerWeights(random, rest * prior, rest * (1.0 - prior)).as_array()
+        self.assert_draws_match(seed, cs.choice_cdf(probs), probs)
+
+    # sha256 of 200 consecutive draws from default_rng(2024), then the
+    # stream's next uniform, recorded before draws used cached CDFs
+    SAMPLE_PINS = {
+        "uniform": ("99d09e99e590d56661c03c56df5c2f8a95c9cc78412bfcddc2ced92c6db0a19d",
+                    0.20054870007835635),
+        "prior": ("e9e74ecb0a90e94f263f7b5e3984314a69925cec32ec089b5954c2a013d543e5",
+                  0.16543487921893096),
+        "around": ("25f0814e9fa89aadcea30f98e08288c57157c093ebc0975bfbac504a8ead7403",
+                   0.4008620659208203),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLE_PINS))
+    def test_sample_stream_pinned(self, kind):
+        space = table_space()
+        strategy = ("around", cs.sample(space, "uniform", 7)) if kind == "around" else kind
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            config = cs.sample(space, strategy, rng)
+            digest.update((json.dumps(config.assignments, sort_keys=True) + "|"
+                           + serialize(config.derivation) + "\n").encode())
+        assert (digest.hexdigest(), rng.random()) == self.SAMPLE_PINS[kind]

@@ -19,6 +19,8 @@ from jahsband.harness import (
     replay_save,
     unit_coordinates,
 )
+from jahsband.priorband import run
+from jahsband.scheduler import budget_ladder
 from conftest import float_space
 ECHO_EVALUATOR = """\
 import sys, json
@@ -70,6 +72,23 @@ req = json.loads(sys.stdin.readline())
 print(json.dumps({"id": req["id"], "status": "ok",
                   "objectives": {"primary": 0.5, "runtime_hours": 1.0}}),
       flush=True)
+"""
+# prints one stray line (STRAY) before its second reply
+CHATTY_EVALUATOR = """\
+import sys, json
+for n, line in enumerate(sys.stdin):
+    req = json.loads(line)
+    if n == 1:
+        print(STRAY, flush=True)
+    print(json.dumps({"id": req["id"], "status": "ok",
+                      "objectives": {"primary": 0.5, "runtime_hours": 1.0}}),
+          flush=True)
+"""
+# answers every request with valid JSON that is not an object
+LIST_EVALUATOR = """\
+import sys
+for line in sys.stdin:
+    print("[]", flush=True)
 """
 def make_evaluator(tmp_path, body, space, b_max=100, timeout=60.0):
     script = tmp_path / "evaluator.py"
@@ -267,6 +286,31 @@ class TestExternalEvaluator:
         assert all(a is not None or b is not None
                    for a, b in zip(outcomes, outcomes[1:]))
         assert outcomes.count(Objectives(0.5, 1.0)) >= 4
+    @pytest.mark.parametrize("stray", ["epoch 1 done", '{"epoch": 1}'])
+    def test_stray_line_costs_one_request(self, tmp_path, stray):
+        space = float_space(1)
+        config = space.default_configuration()
+        outcomes = []
+        body = CHATTY_EVALUATOR.replace("STRAY", repr(stray))
+        with make_evaluator(tmp_path, body, space) as evaluator:
+            for _ in range(8):
+                try:
+                    outcomes.append(evaluator.evaluate(config, 10))
+                except ProtocolError:
+                    outcomes.append(None)
+        assert outcomes[0] == Objectives(0.5, 1.0)
+        assert all(a is not None or b is not None
+                   for a, b in zip(outcomes, outcomes[1:]))
+        assert outcomes.count(None) >= 2
+    def test_non_object_reply_costs_one_trial(self, tmp_path):
+        space = float_space(1)
+        with make_evaluator(tmp_path, LIST_EVALUATOR, space, b_max=3) as evaluator:
+            with pytest.raises(ProtocolError, match="malformed"):
+                evaluator.evaluate(space.default_configuration(), 3)
+            result = run(space, evaluator, budget_ladder(1, 3, 3), seed=0)
+        assert len(result.history) > 1
+        assert all(t.status == "failed" for t in result.history.trials)
+        assert result.final_incumbent is None
     def test_spawn_failure(self):
         with pytest.raises(EvaluationFailed):
             ExternalEvaluator(["/no/such/binary"], float_space(1), 10)

@@ -1,6 +1,7 @@
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from jahsband.priorband import (
 from jahsband.scheduler import Trial, budget_ladder
 
 from conftest import brute_force_fronts, float_space, history_from_table
+
+SPACE_FILE = Path(__file__).resolve().parents[1] / "spaces" / "jahs_table3_4.json"
 
 
 def small_setup(d=3, optimum=0.3, b_max=27, default=0.5, size=()):
@@ -76,6 +79,8 @@ def assert_views_current(history):
     assert history.costs_at_highest_budget() == entries
     assert history.pareto_entries() == front
     assert dict(history.configurations()) == configs
+    for cid, config in configs.items():
+        assert history.row(cid) == tuple(cs.normalize(history.space, config))
 
 
 class CheckedHistory(RunHistory):
@@ -133,6 +138,23 @@ class TestRunHistoryViews:
         write_history_csv(result.history, path)
         loaded = read_history_csv(path, space, ladder)
         assert isinstance(loaded, CheckedHistory)
+
+    def test_row_dropped_when_config_replaced(self):
+        space = float_space(1)
+        history = RunHistory(space, budget_ladder(1, 27, 3))
+        first = cs.Configuration({"p0": 0.25})
+
+        def add(config, budget):
+            history.add(Trial(3, config, 0, 0, budget, "random", 0,
+                              cost=CostVector(0.5, 1.0)))
+
+        add(first, 1)
+        row = history.row(3)
+        assert row == (0.25,)
+        add(first, 3)
+        assert history.row(3) is row
+        add(cs.Configuration({"p0": 0.75}), 9)
+        assert history.row(3) == (0.75,)
 
     def test_configurations_is_read_only(self):
         space = float_space(1)
@@ -512,6 +534,38 @@ class TestRun:
         assert len(set(t.seed for t in loaded.trials)) > 1
         assert set(parsed.values()) == {1}
         assert len(parsed) < len(loaded.trials)
+
+    def test_top_rows_encoded_once_per_history(self, tmp_path, monkeypatch):
+        space = cs.load_space(SPACE_FILE)
+        problem = SyntheticProblem.from_space(space, b_max=27)
+        ladder = budget_ladder(1, 27, 3)
+        normalize, weighting = cs.normalize, priorband.dynamic_weighting
+        encoded, as_center, kept = Counter(), Counter(), []
+
+        def counting_normalize(space, config):
+            if kept:
+                encoded[id(config)] += 1
+            return normalize(space, config)
+
+        def counting_weighting(history, prior_center, incumbent):
+            # centers stay referenced, so their ids are never reused
+            kept.extend((prior_center, incumbent))
+            as_center.update((id(prior_center), id(incumbent)))
+            return weighting(history, prior_center, incumbent)
+
+        monkeypatch.setattr(cs, "normalize", counting_normalize)
+        monkeypatch.setattr(priorband, "dynamic_weighting", counting_weighting)
+        result = jb.run(space, problem, ladder, seed=1)
+        monkeypatch.undo()
+        configs = result.history.configurations()
+        as_top_row = [encoded[id(c)] - as_center[id(c)] for c in configs.values()]
+        assert len(kept) >= 4, "expected weighting in at least two brackets"
+        assert sum(as_top_row) > 0 and max(as_top_row) == 1
+        path = tmp_path / "history.csv"
+        write_history_csv(result.history, path)
+        for history in (result.history, read_history_csv(path, space, ladder)):
+            for cid, config in history.configurations().items():
+                assert history.row(cid) == tuple(cs.normalize(space, config))
 
     def test_grammar_space_run(self):
         space = cs.load_space({
