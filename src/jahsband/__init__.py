@@ -33,7 +33,6 @@ from .harness import (
     SyntheticProblem,
     dsc,
     replay_load,
-    replay_save,
 )
 from .moo import (
     CostVector,
@@ -113,7 +112,6 @@ __all__ = [
     "parse",
     "prior_pdf",
     "replay_load",
-    "replay_save",
     "run",
     "sample",
     "sample_derivation",

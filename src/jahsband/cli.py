@@ -140,8 +140,9 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
         raise ManifestError(
             f"no output directory (--out, manifest, or ${OUTPUT_ROOT_ENV})"
         )
-    if resolved["problem"] == "replay" and not resolved["replay_file"]:
-        raise ManifestError("replay problem needs --replay-file")
+    replay_file = resolved["replay_file"]
+    if resolved["problem"] == "replay" and not Path(replay_file or "").is_file():
+        raise ManifestError(f"replay problem needs a replay file, got {replay_file!r}")
     if resolved["problem"] == "external" and not resolved["external_cmd"]:
         raise ManifestError("external problem needs --external-cmd")
     return resolved
@@ -159,8 +160,6 @@ def _build_problem(manifest: dict, space: cs.SearchSpace):
             problem_seed=manifest["problem_seed"],
         )
     if manifest["problem"] == "replay":
-        if not Path(manifest["replay_file"]).exists():
-            raise ManifestError(f"replay file not found: {manifest['replay_file']}")
         return replay_load(manifest["replay_file"], space)
     return ExternalEvaluator(
         manifest["external_cmd"],
@@ -179,12 +178,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_root = Path(manifest["out"])
     out_root.mkdir(parents=True, exist_ok=True)
 
+    # written before the first seed, so every finished seed can be reported
+    # on even if a later one fails
     record = dict(manifest)
     record["resolved_space"] = cs.space_to_dict(space)
+    if manifest["problem"] == "synthetic":
+        record["resolved_problem"] = _build_problem(manifest, space).to_dict()
+    with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
+        json.dump(record, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     for seed in manifest["seeds"]:
         problem = _build_problem(manifest, space)
-        if isinstance(problem, SyntheticProblem):
-            record.setdefault("resolved_problem", problem.to_dict())
         try:
             result = priorband.run(
                 space,
@@ -202,9 +206,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         analysis.export_reports(
             result, out_root / f"seed_{seed}", importance=manifest["importance"]
         )
-    with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     return EXIT_OK
 
 

@@ -4,13 +4,16 @@ SyntheticProblem is a deterministic stand-in for segmentation-model
 training: quality follows a Gaussian bump around a hidden optimum in
 normalized coordinates, scaled by a saturating learning curve in the epoch
 budget, and runtime grows linearly in epochs and multiplicatively in the
-capacity-like parameters. ReplayProblem looks evaluations up from a recorded
-table for exact regression runs. ExternalEvaluator speaks a line-delimited
-JSON protocol to a child process so real trainers can attach.
+capacity-like parameters. ReplayProblem looks evaluations up in a run's
+``history.csv`` for exact regression runs; this module owns that file's
+columns and the strings that key a configuration in it. ExternalEvaluator
+speaks a line-delimited JSON protocol to a child process so real trainers
+can attach.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -43,11 +46,11 @@ class ShapeMismatchError(ValueError):
 
 
 class MissingEntryError(KeyError):
-    """Replay table has no row for a (config, budget) key."""
+    """Replay history has no row for a (config, architecture, budget) key."""
 
 
 class MalformedRowError(ValueError):
-    """Replay table row cannot be parsed."""
+    """A history.csv lacks a column or has a row that cannot be parsed."""
 
 
 class EvaluationFailed(RuntimeError):
@@ -65,6 +68,10 @@ class ProtocolError(EvaluationFailed):
 
 class EvaluatorReportedFailure(EvaluationFailed):
     """The external evaluator answered with status "failed"."""
+
+
+class RecordedFailure(EvaluationFailed):
+    """The replayed history recorded this evaluation as failed."""
 
 
 @dataclass(frozen=True)
@@ -92,11 +99,49 @@ def dsc(x_mask: np.ndarray, y_mask: np.ndarray) -> float:
 
 def config_key(config: Configuration) -> str:
     """Canonical string key of a configuration (parameters plus serialized
-    architecture); used by replay tables and noise seeding."""
-    arch = serialize(config.derivation) if config.derivation is not None else None
+    architecture); it seeds the synthetic problem's noise, so its bytes are
+    part of every noisy run's output."""
+    arch = serialize_architecture(config) or None
     return json.dumps(
         {"params": config.assignments, "arch": arch}, sort_keys=True
     )
+
+
+#: history.csv columns; priorband.write_history_csv writes one row per trial
+HISTORY_COLUMNS = [
+    "run_seed",
+    "bracket",
+    "rung",
+    "config_id",
+    "strategy",
+    "budget_epochs",
+    "primary_cost",
+    "runtime_hours",
+    "charged_epochs_cumulative",
+    "status",
+    "serialized_config",
+    "serialized_architecture",
+]
+
+
+def serialize_config(config: Configuration) -> str:
+    """The serialized_config column: parameter assignments as sorted JSON."""
+    return json.dumps(config.assignments, sort_keys=True)
+
+
+def serialize_architecture(config: Configuration) -> str:
+    """The serialized_architecture column: "" without a derivation."""
+    return serialize(config.derivation) if config.derivation is not None else ""
+
+
+def history_rows(fh) -> csv.DictReader:
+    """Rows of an open history.csv as dicts; raises MalformedRowError if the
+    header lacks one of :data:`HISTORY_COLUMNS`."""
+    reader = csv.DictReader(fh)
+    missing = [c for c in HISTORY_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise MalformedRowError(f"history.csv lacks columns {missing}")
+    return reader
 
 
 #: parameter names treated as capacity knobs that scale runtime
@@ -265,18 +310,17 @@ class SyntheticProblem:
         )
 
 
+@dataclass(frozen=True)
 class ReplayProblem:
-    """Exact lookup of previously recorded evaluations."""
+    """Exact lookup of the evaluations recorded in a run's history.csv.
 
-    def __init__(
-        self,
-        space: SearchSpace,
-        table: dict[tuple[str, int], Objectives],
-        b_max: int,
-    ) -> None:
-        self.space = space
-        self.table = table
-        self.b_max = b_max
+    ``table`` maps (serialized_config, serialized_architecture, budget) to
+    the recorded objectives, or to None for a recorded failure, which is
+    raised as :class:`RecordedFailure` so the replay fails that trial again.
+    """
+
+    space: SearchSpace
+    table: dict[tuple[str, str, int], Objectives | None]
 
     def evaluate(
         self,
@@ -285,57 +329,32 @@ class ReplayProblem:
         seed: int = 0,
         previous_budget: int | None = None,
     ) -> Objectives:
-        key = (config_key(config), budget)
+        key = (serialize_config(config), serialize_architecture(config), budget)
         if key not in self.table:
             raise MissingEntryError(f"no replay entry for budget {budget}")
+        if self.table[key] is None:
+            raise RecordedFailure(f"recorded as failed at budget {budget}")
         return self.table[key]
 
 
 def replay_load(path: str | Path, space: SearchSpace) -> ReplayProblem:
-    """Load a replay table: CSV with header config,budget,primary,runtime_hours."""
-    import csv
-
-    table: dict[tuple[str, int], Objectives] = {}
-    b_max = 1
+    """Load a run's history.csv for replay; the first row per
+    (configuration, architecture, budget) wins."""
+    table: dict[tuple[str, str, int], Objectives | None] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"config", "budget", "primary", "runtime_hours"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise MalformedRowError(f"replay table needs columns {sorted(required)}")
-        for i, row in enumerate(reader, start=2):
+        for i, row in enumerate(history_rows(fh), start=2):
+            key = (row["serialized_config"], row["serialized_architecture"])
             try:
-                budget = int(row["budget"])
-                objectives = Objectives(
-                    float(row["primary"]), float(row["runtime_hours"])
-                )
-                key_str = row["config"]
-                json.loads(key_str)  # must be a valid canonical key
-            except (TypeError, ValueError, json.JSONDecodeError) as exc:
+                budget = int(row["budget_epochs"])
+                objectives = None
+                if row["status"] != "failed":
+                    objectives = Objectives(
+                        float(row["primary_cost"]), float(row["runtime_hours"])
+                    )
+            except (TypeError, ValueError) as exc:
                 raise MalformedRowError(f"line {i}: {exc}") from exc
-            table[(key_str, budget)] = objectives
-            b_max = max(b_max, budget)
-    return ReplayProblem(space, table, b_max)
-
-
-def replay_save(trials, path: str | Path) -> None:
-    """Write completed trials as a replay table (failed trials are skipped)."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config", "budget", "primary", "runtime_hours"])
-        seen = set()
-        for trial in trials:
-            if trial.status != "ok" or trial.cost is None:
-                continue
-            key = (config_key(trial.configuration), trial.budget)
-            if key in seen:
-                continue
-            seen.add(key)
-            writer.writerow(
-                [key[0], key[1], repr(trial.cost.primary),
-                 repr(trial.cost.runtime_hours)]
-            )
+            table.setdefault((*key, budget), objectives)
+    return ReplayProblem(space, table)
 
 
 def _close_quietly(pipe) -> None:
@@ -402,9 +421,7 @@ class ExternalEvaluator:
             request = {
                 "id": request_id,
                 "config": config.assignments,
-                "architecture": serialize(config.derivation)
-                if config.derivation is not None
-                else None,
+                "architecture": serialize_architecture(config) or None,
                 "budget": budget,
                 "previous_budget": previous_budget,
                 "seed": seed,

@@ -24,8 +24,9 @@ import numpy as np
 
 from . import configspace as cs
 from .configspace import Configuration, SearchSpace
-from .grammar import Derivation, parse, serialize
-from .harness import EvaluationFailed
+from .grammar import Derivation, parse
+from .harness import EvaluationFailed, history_rows
+from .harness import HISTORY_COLUMNS, serialize_architecture, serialize_config
 from .moo import CostVector, area_incumbent, non_dominated_sort, select_top_k
 from .scheduler import BudgetLadder, Trial, bracket_plan
 
@@ -372,26 +373,7 @@ def run(
     )
 
 
-# history persistence
-
-HISTORY_COLUMNS = [
-    "run_seed",
-    "bracket",
-    "rung",
-    "config_id",
-    "strategy",
-    "budget_epochs",
-    "primary_cost",
-    "runtime_hours",
-    "charged_epochs_cumulative",
-    "status",
-    "serialized_config",
-    "serialized_architecture",
-]
-
-
-def serialize_config(config: Configuration) -> str:
-    return json.dumps(config.assignments, sort_keys=True)
+# history persistence; harness owns the columns and their serializers
 
 
 def write_history_csv(history: RunHistory, path: str | Path) -> None:
@@ -416,9 +398,7 @@ def write_history_csv(history: RunHistory, path: str | Path) -> None:
                     charged,
                     t.status,
                     serialize_config(t.configuration),
-                    serialize(t.configuration.derivation)
-                    if t.configuration.derivation is not None
-                    else "",
+                    serialize_architecture(t.configuration),
                 ]
             )
 
@@ -428,13 +408,13 @@ def read_history_csv(
 ) -> RunHistory:
     """Inverse of :func:`write_history_csv`. Each trial's seed is derived
     from the run seed, config id and rung, exactly as :func:`run` derives
-    it."""
+    it. A missing column raises :class:`~jahsband.harness.MalformedRowError`."""
     history: RunHistory | None = None
     prev_charged = 0
     # derivations are immutable, so rows with one architecture share it
     derivations: dict[str, Derivation] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        for row in history_rows(fh):
             if history is None:
                 history = RunHistory(space, ladder, run_seed=int(row["run_seed"]))
             derivation = None

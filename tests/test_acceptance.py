@@ -18,7 +18,7 @@ import jahsband as jb
 from jahsband import configspace as cs, grammar as hg
 from jahsband.analysis import export_reports, fanova_first_order
 from jahsband.cli import main as cli_main
-from jahsband.harness import SyntheticProblem, dsc, replay_load, replay_save
+from jahsband.harness import SyntheticProblem, dsc, replay_load
 from jahsband.moo import CostVector, crowding_distance, non_dominated_sort, select_top_k
 from jahsband.priorband import final_incumbent, sampler_weights
 from jahsband.scheduler import budget_ladder, charge_cost
@@ -284,11 +284,6 @@ def test_13_replay_fidelity(tmp_path):
         size_parameters=("p4",),
     )
     ladder = budget_ladder(1, 81, 3)
-    original = jb.run(space, problem, ladder, seed=17)
-    table = tmp_path / "replay.csv"
-    replay_save(original.history.trials, table)
-    replayed_problem = replay_load(table, space)
-    replayed = jb.run(space, replayed_problem, ladder, seed=17)
 
     def trail(result):
         return [
@@ -297,10 +292,16 @@ def test_13_replay_fidelity(tmp_path):
             for t in result.history.trials
         ]
 
-    assert trail(replayed) == trail(original)
-    assert replayed.final_incumbent == original.final_incumbent
-    assert replayed.pareto_front == original.pareto_front
-    first = export_reports(original, tmp_path / "original")
-    second = export_reports(replayed, tmp_path / "replayed")
-    for f1, f2 in zip(first, second):
-        assert f1.read_bytes() == f2.read_bytes()
+    for mode in ("priorband", "regularized"):
+        original = jb.run(space, problem, ladder, mode=mode, seed=17)
+        first = export_reports(original, tmp_path / mode / "original")
+        # the exported history.csv is the replay table
+        replayed_problem = replay_load(first[0], space)
+        replayed = jb.run(space, replayed_problem, ladder, mode=mode, seed=17)
+        assert trail(replayed) == trail(original)
+        assert replayed.final_incumbent == original.final_incumbent
+        assert replayed.pareto_front == original.pareto_front
+        second = export_reports(replayed, tmp_path / mode / "replayed")
+        assert [f.name for f in first] == [f.name for f in second]
+        for f1, f2 in zip(first, second):
+            assert f1.read_bytes() == f2.read_bytes()

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -17,6 +18,15 @@ def small_run_args(out, seed="0", space=SPACE):
     return [
         "run", "--space", space, "--problem", "synthetic",
         "--mode", "regularized", "--eta", "3",
+        "--min-budget", "3", "--max-budget", "27",
+        "--seed", seed, "--out", str(out),
+    ]
+
+
+def replay_args(replay_file, out, seed="0"):
+    return [
+        "run", "--space", SPACE, "--problem", "replay",
+        "--replay-file", str(replay_file), "--eta", "3",
         "--min-budget", "3", "--max-budget", "27",
         "--seed", seed, "--out", str(out),
     ]
@@ -99,23 +109,38 @@ class TestRun:
     def test_replay_problem(self, tmp_path):
         out = tmp_path / "base"
         assert run_cli(*small_run_args(out)) == 0
-        # build a replay table from the recorded history, then re-run
-        from jahsband import configspace as cs, priorband, harness
-        from jahsband.scheduler import budget_ladder
-
-        space = cs.load_space(SPACE)
-        ladder = budget_ladder(3, 27, 3)
-        history = priorband.read_history_csv(
-            out / "seed_0" / "history.csv", space, ladder)
-        table = tmp_path / "table.csv"
-        harness.replay_save(history.trials, table)
+        # the recorded history.csv is the replay table as it stands
         out2 = tmp_path / "replayed"
-        assert run_cli("run", "--space", SPACE, "--problem", "replay",
-                       "--replay-file", str(table), "--eta", "3",
-                       "--min-budget", "3", "--max-budget", "27",
-                       "--seed", "0", "--out", str(out2)) == 0
-        assert (out / "seed_0" / "history.csv").read_bytes() == (
-            out2 / "seed_0" / "history.csv").read_bytes()
+        assert run_cli(*replay_args(out / "seed_0" / "history.csv", out2)) == 0
+        for name in ("history.csv", "pareto.json", "incumbent_trajectory.csv"):
+            assert (out / "seed_0" / name).read_bytes() == (
+                out2 / "seed_0" / name).read_bytes()
+
+    def test_replay_old_table_format_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("config,budget,primary,runtime_hours\n")
+        rc = run_cli(*replay_args(table, tmp_path / "replayed"))
+        assert rc == 2
+        assert "lacks columns" in capsys.readouterr().err
+
+    def test_replay_missing_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "replayed"
+        assert run_cli(*replay_args(tmp_path / "nope.csv", out)) == 2
+        assert "nope.csv" in capsys.readouterr().err
+        assert not (out / "manifest.resolved.json").exists()
+
+    def test_manifest_written_before_first_seed(self, tmp_path):
+        out = tmp_path / "base"
+        assert run_cli(*small_run_args(out)) == 0
+        # seed 1 samples configurations seed 0 never recorded, so its
+        # replay stops with an evaluator error after seed 0 has finished
+        out2 = tmp_path / "replayed"
+        args = replay_args(out / "seed_0" / "history.csv", out2, seed="0,1")
+        assert run_cli(*args) == 3
+        assert (out2 / "manifest.resolved.json").exists()
+        assert run_cli("report", "pareto", "--run", str(out2)) == 0
+        assert (out2 / "seed_0" / "pareto.json").read_bytes() == (
+            out / "seed_0" / "pareto.json").read_bytes()
 
 
 class TestGrammarCommand:
@@ -192,6 +217,19 @@ class TestReportCommand:
                        "--out", str(out_b)) == 0
         rc = run_cli("report", "crosseval", "--runs", str(run_a), str(out_b))
         assert rc == 2
+
+    def test_pareto_missing_column_exit_2(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        path = out / "seed_0" / "history.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, [c for c in rows[0] if c != "run_seed"],
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert run_cli("report", "pareto", "--run", str(out)) == 2
+        assert "run_seed" in capsys.readouterr().err
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "importance",

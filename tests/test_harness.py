@@ -1,7 +1,11 @@
+import math
 import sys
+import zlib
+from pathlib import Path
 import numpy as np
 import pytest
 from jahsband import configspace as cs
+from jahsband.analysis import export_reports
 from jahsband.harness import (
     BudgetOutOfRangeError,
     EvaluationFailed,
@@ -12,15 +16,17 @@ from jahsband.harness import (
     MissingEntryError,
     Objectives,
     ProtocolError,
+    RecordedFailure,
     ShapeMismatchError,
     SyntheticProblem,
+    config_key,
     dsc,
     replay_load,
-    replay_save,
     unit_coordinates,
 )
-from jahsband.priorband import run
-from jahsband.scheduler import budget_ladder
+from jahsband.moo import CostVector
+from jahsband.priorband import RunHistory, run, write_history_csv
+from jahsband.scheduler import Trial, budget_ladder
 from conftest import float_space
 ECHO_EVALUATOR = """\
 import sys, json
@@ -209,33 +215,98 @@ class TestSyntheticProblem:
         ])
         coords = unit_coordinates(space, cs.Configuration({"c": "c"}))
         assert coords["c"] == 1.0
+def write_history(path, space, trials):
+    """history.csv of the given trials, as a run would export it."""
+    history = RunHistory(space, budget_ladder(1, 27, 3))
+    for trial in trials:
+        history.add(trial)
+    write_history_csv(history, path)
+    return path
+class FlakyProblem:
+    """A SyntheticProblem that, keyed by a hash of configuration and budget,
+    fails one evaluation in seven and answers NaN for another."""
+    def __init__(self, inner):
+        self.inner = inner
+        self.space = inner.space
+    def evaluate(self, config, budget, seed=0, previous_budget=None):
+        draw = zlib.crc32(f"{config_key(config)}|{budget}".encode()) % 7
+        if draw == 0:
+            raise EvaluatorReportedFailure("flaky trainer")
+        if draw == 1:
+            return Objectives(math.nan, 1.0)
+        return self.inner.evaluate(config, budget, seed, previous_budget)
 class TestReplay:
+    @pytest.mark.parametrize("mode", ["priorband", "regularized"])
+    def test_run_with_failed_trials_replays_byte_identically(self, tmp_path, mode):
+        space = cs.load_space(
+            Path(__file__).resolve().parents[1] / "spaces" / "jahs_table3_4.json")
+        ladder = budget_ladder(1, 27, 3)
+        problem = FlakyProblem(SyntheticProblem.from_space(space, b_max=27))
+        original = run(space, problem, ladder, mode=mode, seed=3)
+        statuses = {t.status for t in original.history.trials}
+        assert statuses == {"ok", "failed"}
+        first = export_reports(original, tmp_path / "original")
+        replayed = run(space, replay_load(first[0], space), ladder, mode=mode,
+                       seed=3)
+        second = export_reports(replayed, tmp_path / "replayed")
+        for f1, f2 in zip(first, second):
+            assert f1.read_bytes() == f2.read_bytes()
     def test_single_row_lookup(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        from jahsband.scheduler import Trial
-        from jahsband.moo import CostVector
         trial = Trial(0, config, 0, 0, 9, "random", 0, cost=CostVector(0.5, 1.25))
-        path = tmp_path / "table.csv"
-        replay_save([trial], path)
+        path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay_load(path, space)
         assert problem.evaluate(config, 9) == Objectives(0.5, 1.25)
     def test_missing_budget(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        from jahsband.scheduler import Trial
-        from jahsband.moo import CostVector
         trial = Trial(0, config, 0, 0, 9, "random", 0, cost=CostVector(0.5, 1.0))
-        path = tmp_path / "table.csv"
-        replay_save([trial], path)
+        path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay_load(path, space)
         with pytest.raises(MissingEntryError):
             problem.evaluate(config, 27)
-    def test_malformed_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("config,budget,primary,runtime_hours\nnotjson,x,1,2\n")
+        with pytest.raises(MissingEntryError):
+            problem.evaluate(cs.Configuration({"p0": 0.5}), 9)
+    def test_recorded_failure_replays_as_failure(self, tmp_path):
+        space = float_space(1)
+        failed = cs.Configuration({"p0": 0.25})
+        ok = cs.Configuration({"p0": 0.75})
+        path = write_history(tmp_path / "history.csv", space, [
+            Trial(1, failed, 0, 0, 3, "random", 0, status="failed"),
+            Trial(2, ok, 0, 0, 3, "random", 0, cost=CostVector(0.5, 1.0)),
+        ])
+        problem = replay_load(path, space)
+        with pytest.raises(RecordedFailure) as info:
+            problem.evaluate(failed, 3)
+        assert isinstance(info.value, EvaluationFailed)
+        assert problem.evaluate(ok, 3) == Objectives(0.5, 1.0)
+    def test_first_row_per_key_wins(self, tmp_path):
+        space = float_space(1)
+        config = cs.Configuration({"p0": 0.25})
+        path = write_history(tmp_path / "history.csv", space, [
+            Trial(1, config, 0, 0, 3, "random", 0, cost=CostVector(0.5, 1.0)),
+            Trial(2, config, 0, 0, 3, "random", 0, status="failed"),
+            Trial(3, config, 0, 0, 3, "random", 0, cost=CostVector(0.1, 2.0)),
+        ])
+        assert replay_load(path, space).evaluate(config, 3) == Objectives(0.5, 1.0)
+    def test_old_table_format_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "config,budget,primary,runtime_hours\n"
+            '"{""arch"": null, ""params"": {""p0"": 0.25}}",9,0.5,1.25\n'
+        )
         with pytest.raises(MalformedRowError):
             replay_load(path, float_space(1))
+    def test_malformed_row(self, tmp_path):
+        space = float_space(1)
+        trial = Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random", 0,
+                      cost=CostVector(0.5, 1.0))
+        path = write_history(tmp_path / "history.csv", space, [trial])
+        header, row = path.read_text().splitlines()
+        path.write_text(header + "\n" + row.replace(",9,", ",x,", 1) + "\n")
+        with pytest.raises(MalformedRowError, match="line 2"):
+            replay_load(path, space)
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

@@ -149,6 +149,26 @@ class TestSelectTopK:
                 assert cur[: k - 1] == prev
                 prev = cur
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
+            min_size=2,
+            max_size=60,
+        ),
+        st.lists(st.integers(0, 10**6), max_size=30),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_prefix_on_tie_grids_with_exact_duplicates(self, pairs, picks, rnd, data):
+        # grid levels tie crowding distances and primary costs; the picks
+        # add exact duplicates, so only the index tie-break orders them
+        pairs = pairs + [pairs[i % len(pairs)] for i in picks]
+        rnd.shuffle(pairs)
+        pts = cv(*pairs)
+        k = data.draw(st.integers(1, len(pts) - 1))
+        assert select_top_k(pts, k) == select_top_k(pts, k + 1)[:k]
+
 
 class TestAreaIncumbent:
     def test_hand_case(self):
