@@ -28,11 +28,9 @@ from .grammar import (
 )
 from .harness import (
     ExternalEvaluator,
-    Objectives,
     ReplayProblem,
     SyntheticProblem,
     dsc,
-    replay_load,
 )
 from .moo import (
     CostVector,
@@ -79,7 +77,6 @@ __all__ = [
     "ExternalEvaluator",
     "Grammar",
     "ImportanceReport",
-    "Objectives",
     "ParameterSpec",
     "ReplayProblem",
     "RunHistory",
@@ -111,7 +108,6 @@ __all__ = [
     "normalize",
     "parse",
     "prior_pdf",
-    "replay_load",
     "run",
     "sample",
     "sample_derivation",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configspace import CATEGORICAL, Configuration, coordinate_names, normalize
+from .configspace import CATEGORICAL, Configuration, coordinate_names
 from .grammar import serialize as serialize_derivation
 from .priorband import RunHistory, RunResult, write_history_csv
 
@@ -268,13 +268,12 @@ def _history_matrix(
     from per-configuration highest-budget costs."""
     space = history.space
     entries = history.costs_at_highest_budget()
-    configs = history.configurations()
     categorical: dict[int, int] = {
         i: s.n_choices
         for i, s in enumerate(space.parameters)
         if s.kind == CATEGORICAL
     }
-    rows = [normalize(space, configs[cid]) for cid, _ in entries]
+    rows = [history.row(cid) for cid, _ in entries]
     ys = [cost.primary for _, cost in entries]
     X = np.array(rows, dtype=float)
     y = np.array(ys, dtype=float)

@@ -31,10 +31,10 @@ from .harness import (
     EvaluationFailed,
     ExternalEvaluator,
     MissingEntryError,
+    ReplayProblem,
     SyntheticProblem,
-    replay_load,
 )
-from .scheduler import budget_ladder
+from .scheduler import BudgetLadder, budget_ladder
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -96,26 +96,10 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
         if unknown:
             raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
         resolved.update(loaded)
-    overrides = {
-        "space": args.space,
-        "problem": args.problem,
-        "replay_file": args.replay_file,
-        "external_cmd": args.external_cmd,
-        "external_timeout": args.external_timeout,
-        "mode": args.mode,
-        "policy": args.policy,
-        "eta": args.eta,
-        "min_budget": args.min_budget,
-        "max_budget": args.max_budget,
-        "out": args.out,
-        "workers": args.workers,
-        "noise": args.noise,
-        "optimum": args.optimum,
-        "problem_seed": args.problem_seed,
-        "curvature": args.curvature,
-        "hours_per_epoch": args.hours_per_epoch,
-    }
-    for key, value in overrides.items():
+    # --seed, --restart and --importance are handled below; every other
+    # key is the dest of a flag that defaults to None
+    for key in _RUN_DEFAULTS.keys() - {"seeds", "continuation", "importance"}:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     if args.seed:
@@ -148,7 +132,7 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _build_problem(manifest: dict, space: cs.SearchSpace):
+def _build_problem(manifest: dict, space: cs.SearchSpace, ladder: BudgetLadder):
     if manifest["problem"] == "synthetic":
         return SyntheticProblem.from_space(
             space,
@@ -160,7 +144,9 @@ def _build_problem(manifest: dict, space: cs.SearchSpace):
             problem_seed=manifest["problem_seed"],
         )
     if manifest["problem"] == "replay":
-        return replay_load(manifest["replay_file"], space)
+        return ReplayProblem.from_history(
+            priorband.read_history_csv(manifest["replay_file"], space, ladder)
+        )
     return ExternalEvaluator(
         manifest["external_cmd"],
         space,
@@ -183,12 +169,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     record = dict(manifest)
     record["resolved_space"] = cs.space_to_dict(space)
     if manifest["problem"] == "synthetic":
-        record["resolved_problem"] = _build_problem(manifest, space).to_dict()
+        record["resolved_problem"] = _build_problem(manifest, space, ladder).to_dict()
     with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
     for seed in manifest["seeds"]:
-        problem = _build_problem(manifest, space)
+        problem = _build_problem(manifest, space, ladder)
         try:
             result = priorband.run(
                 space,

@@ -4,16 +4,15 @@ SyntheticProblem is a deterministic stand-in for segmentation-model
 training: quality follows a Gaussian bump around a hidden optimum in
 normalized coordinates, scaled by a saturating learning curve in the epoch
 budget, and runtime grows linearly in epochs and multiplicatively in the
-capacity-like parameters. ReplayProblem looks evaluations up in a run's
-``history.csv`` for exact regression runs; this module owns that file's
-columns and the strings that key a configuration in it. ExternalEvaluator
-speaks a line-delimited JSON protocol to a child process so real trainers
-can attach.
+capacity-like parameters. ReplayProblem answers evaluations from a run's
+history, as read back from its ``history.csv``, for exact regression runs.
+ExternalEvaluator speaks a line-delimited JSON protocol to a child process
+so real trainers can attach. Every backend returns a
+:class:`~jahsband.moo.CostVector`.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -21,8 +20,7 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -35,6 +33,10 @@ from .configspace import (
     normalize,
 )
 from .grammar import serialize
+from .moo import CostVector
+
+if TYPE_CHECKING:
+    from .priorband import RunHistory
 
 
 class BudgetOutOfRangeError(ValueError):
@@ -46,7 +48,7 @@ class ShapeMismatchError(ValueError):
 
 
 class MissingEntryError(KeyError):
-    """Replay history has no row for a (config, architecture, budget) key."""
+    """Replay history has no trial for a (configuration, budget) key."""
 
 
 class MalformedRowError(ValueError):
@@ -74,14 +76,6 @@ class RecordedFailure(EvaluationFailed):
     """The replayed history recorded this evaluation as failed."""
 
 
-@dataclass(frozen=True)
-class Objectives:
-    """Primary cost in [0, 1] (lower better) and training runtime in hours."""
-
-    primary: float
-    runtime_hours: float
-
-
 def dsc(x_mask: np.ndarray, y_mask: np.ndarray) -> float:
     """Dice similarity 2|X n Y| / (|X| + |Y|) of two boolean voxel grids.
 
@@ -107,41 +101,9 @@ def config_key(config: Configuration) -> str:
     )
 
 
-#: history.csv columns; priorband.write_history_csv writes one row per trial
-HISTORY_COLUMNS = [
-    "run_seed",
-    "bracket",
-    "rung",
-    "config_id",
-    "strategy",
-    "budget_epochs",
-    "primary_cost",
-    "runtime_hours",
-    "charged_epochs_cumulative",
-    "status",
-    "serialized_config",
-    "serialized_architecture",
-]
-
-
-def serialize_config(config: Configuration) -> str:
-    """The serialized_config column: parameter assignments as sorted JSON."""
-    return json.dumps(config.assignments, sort_keys=True)
-
-
 def serialize_architecture(config: Configuration) -> str:
-    """The serialized_architecture column: "" without a derivation."""
+    """The serialized architecture; "" without a derivation."""
     return serialize(config.derivation) if config.derivation is not None else ""
-
-
-def history_rows(fh) -> csv.DictReader:
-    """Rows of an open history.csv as dicts; raises MalformedRowError if the
-    header lacks one of :data:`HISTORY_COLUMNS`."""
-    reader = csv.DictReader(fh)
-    missing = [c for c in HISTORY_COLUMNS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise MalformedRowError(f"history.csv lacks columns {missing}")
-    return reader
 
 
 #: parameter names treated as capacity knobs that scale runtime
@@ -250,7 +212,7 @@ class SyntheticProblem:
         budget: int,
         seed: int = 0,
         previous_budget: int | None = None,
-    ) -> Objectives:
+    ) -> CostVector:
         if not 1 <= budget <= self.b_max:
             raise BudgetOutOfRangeError(f"budget {budget} not in [1, {self.b_max}]")
         coords = unit_coordinates(self.space, config)
@@ -277,7 +239,7 @@ class SyntheticProblem:
         runtime = budget * self.hours_per_epoch
         for name in self.size_parameters:
             runtime *= 1.0 + coords[name]
-        return Objectives(
+        return CostVector(
             primary=float(min(max(primary, 0.0), 1.0)),
             runtime_hours=float(runtime),
         )
@@ -312,15 +274,26 @@ class SyntheticProblem:
 
 @dataclass(frozen=True)
 class ReplayProblem:
-    """Exact lookup of the evaluations recorded in a run's history.csv.
+    """Exact lookup of the evaluations recorded in a run's history.
 
-    ``table`` maps (serialized_config, serialized_architecture, budget) to
-    the recorded objectives, or to None for a recorded failure, which is
-    raised as :class:`RecordedFailure` so the replay fails that trial again.
+    ``table`` maps (:func:`config_key`, budget) to the recorded cost, or to
+    None for a recorded failure, which is raised as :class:`RecordedFailure`
+    so the replay fails that trial again.
     """
 
     space: SearchSpace
-    table: dict[tuple[str, str, int], Objectives | None]
+    table: dict[tuple[str, int], CostVector | None]
+
+    @classmethod
+    def from_history(cls, history: "RunHistory") -> "ReplayProblem":
+        """Replay a history, e.g. one read back by
+        :func:`~jahsband.priorband.read_history_csv`; the first trial per
+        (configuration, budget) wins."""
+        table: dict[tuple[str, int], CostVector | None] = {}
+        for t in history.trials:
+            cost = t.cost if t.status == "ok" else None
+            table.setdefault((config_key(t.configuration), t.budget), cost)
+        return cls(history.space, table)
 
     def evaluate(
         self,
@@ -328,33 +301,13 @@ class ReplayProblem:
         budget: int,
         seed: int = 0,
         previous_budget: int | None = None,
-    ) -> Objectives:
-        key = (serialize_config(config), serialize_architecture(config), budget)
+    ) -> CostVector:
+        key = (config_key(config), budget)
         if key not in self.table:
             raise MissingEntryError(f"no replay entry for budget {budget}")
         if self.table[key] is None:
             raise RecordedFailure(f"recorded as failed at budget {budget}")
         return self.table[key]
-
-
-def replay_load(path: str | Path, space: SearchSpace) -> ReplayProblem:
-    """Load a run's history.csv for replay; the first row per
-    (configuration, architecture, budget) wins."""
-    table: dict[tuple[str, str, int], Objectives | None] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for i, row in enumerate(history_rows(fh), start=2):
-            key = (row["serialized_config"], row["serialized_architecture"])
-            try:
-                budget = int(row["budget_epochs"])
-                objectives = None
-                if row["status"] != "failed":
-                    objectives = Objectives(
-                        float(row["primary_cost"]), float(row["runtime_hours"])
-                    )
-            except (TypeError, ValueError) as exc:
-                raise MalformedRowError(f"line {i}: {exc}") from exc
-            table.setdefault((*key, budget), objectives)
-    return ReplayProblem(space, table)
 
 
 def _close_quietly(pipe) -> None:
@@ -412,7 +365,7 @@ class ExternalEvaluator:
         budget: int,
         seed: int = 0,
         previous_budget: int | None = None,
-    ) -> Objectives:
+    ) -> CostVector:
         with self._lock:
             if self._proc is None:
                 self._proc = self._spawn()
@@ -453,7 +406,7 @@ class ExternalEvaluator:
             raise ProtocolError(f"unknown status {response.get('status')!r}")
         try:
             objectives = response["objectives"]
-            return Objectives(
+            return CostVector(
                 float(objectives["primary"]), float(objectives["runtime_hours"])
             )
         except (KeyError, TypeError, ValueError) as exc:

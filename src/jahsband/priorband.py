@@ -25,8 +25,7 @@ import numpy as np
 from . import configspace as cs
 from .configspace import Configuration, SearchSpace
 from .grammar import Derivation, parse
-from .harness import EvaluationFailed, history_rows
-from .harness import HISTORY_COLUMNS, serialize_architecture, serialize_config
+from .harness import EvaluationFailed, MalformedRowError, serialize_architecture
 from .moo import CostVector, area_incumbent, non_dominated_sort, select_top_k
 from .scheduler import BudgetLadder, Trial, bracket_plan
 
@@ -373,7 +372,28 @@ def run(
     )
 
 
-# history persistence; harness owns the columns and their serializers
+# history persistence: the one writer and the one reader of history.csv
+
+#: history.csv columns, one row per trial
+HISTORY_COLUMNS = [
+    "run_seed",
+    "bracket",
+    "rung",
+    "config_id",
+    "strategy",
+    "budget_epochs",
+    "primary_cost",
+    "runtime_hours",
+    "charged_epochs_cumulative",
+    "status",
+    "serialized_config",
+    "serialized_architecture",
+]
+
+
+def serialize_config(config: Configuration) -> str:
+    """The serialized_config column: parameter assignments as sorted JSON."""
+    return json.dumps(config.assignments, sort_keys=True)
 
 
 def write_history_csv(history: RunHistory, path: str | Path) -> None:
@@ -408,44 +428,69 @@ def read_history_csv(
 ) -> RunHistory:
     """Inverse of :func:`write_history_csv`. Each trial's seed is derived
     from the run seed, config id and rung, exactly as :func:`run` derives
-    it. A missing column raises :class:`~jahsband.harness.MalformedRowError`."""
+    it. A missing column, or a row with a field that does not parse (a row
+    cut short, an architecture the space cannot parse, a status other than
+    ``ok`` with both costs or ``failed`` without them), raises
+    :class:`~jahsband.harness.MalformedRowError` naming the line."""
     history: RunHistory | None = None
     prev_charged = 0
     # derivations are immutable, so rows with one architecture share it
     derivations: dict[str, Derivation] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in history_rows(fh):
-            if history is None:
-                history = RunHistory(space, ladder, run_seed=int(row["run_seed"]))
-            derivation = None
-            arch = row["serialized_architecture"]
-            if arch:
-                derivation = derivations.get(arch)
-                if derivation is None:
-                    derivation = derivations[arch] = parse(space.grammar, arch)
-            config = Configuration(json.loads(row["serialized_config"]), derivation)
-            budget = int(row["budget_epochs"])
-            charged = int(row["charged_epochs_cumulative"])
+        reader = csv.DictReader(fh)
+        missing = [c for c in HISTORY_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedRowError(f"history.csv lacks columns {missing}")
+        for row in reader:
+            try:
+                # DictReader fills a short row with None, and keys a long
+                # row's surplus fields by None
+                if None in row or None in row.values():
+                    raise ValueError("row does not have one field per column")
+                if history is None:
+                    history = RunHistory(space, ladder, run_seed=int(row["run_seed"]))
+                derivation = None
+                arch = row["serialized_architecture"]
+                if arch:
+                    if space.grammar is None:
+                        raise ValueError(f"{arch!r} but the space has no grammar")
+                    derivation = derivations.get(arch)
+                    if derivation is None:
+                        derivation = derivations[arch] = parse(space.grammar, arch)
+                assignments = json.loads(row["serialized_config"])
+                if not isinstance(assignments, dict):
+                    raise ValueError("serialized_config is not a JSON object")
+                budget = int(row["budget_epochs"])
+                charged = int(row["charged_epochs_cumulative"])
+                status = row["status"]
+                if status == "ok":
+                    cost = CostVector(
+                        float(row["primary_cost"]), float(row["runtime_hours"])
+                    )
+                elif status == "failed" and row["primary_cost"] == "":
+                    cost = None
+                else:
+                    raise ValueError(
+                        f"status {status!r} with primary_cost {row['primary_cost']!r}"
+                    )
+                config_id, rung = int(row["config_id"]), int(row["rung"])
+                bracket = int(row["bracket"])
+            except ValueError as exc:
+                raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
             delta = charged - prev_charged
             prev_charged = charged
-            cost = None
-            if row["primary_cost"] != "":
-                cost = CostVector(
-                    float(row["primary_cost"]), float(row["runtime_hours"])
-                )
-            config_id, rung = int(row["config_id"]), int(row["rung"])
             history.add(
                 Trial(
                     config_id=config_id,
-                    configuration=config,
-                    bracket=int(row["bracket"]),
+                    configuration=Configuration(assignments, derivation),
+                    bracket=bracket,
                     rung=rung,
                     budget=budget,
                     strategy=row["strategy"],
                     seed=_eval_seed(history.run_seed, config_id, rung),
                     cost=cost,
                     previous_budget=budget - delta if delta != budget else None,
-                    status=row["status"],
+                    status=status,
                 )
             )
     if history is None:

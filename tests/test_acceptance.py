@@ -18,9 +18,9 @@ import jahsband as jb
 from jahsband import configspace as cs, grammar as hg
 from jahsband.analysis import export_reports, fanova_first_order
 from jahsband.cli import main as cli_main
-from jahsband.harness import SyntheticProblem, dsc, replay_load
+from jahsband.harness import ReplayProblem, SyntheticProblem, dsc
 from jahsband.moo import CostVector, crowding_distance, non_dominated_sort, select_top_k
-from jahsband.priorband import final_incumbent, sampler_weights
+from jahsband.priorband import final_incumbent, read_history_csv, sampler_weights
 from jahsband.scheduler import budget_ladder, charge_cost
 
 from conftest import brute_force_fronts, float_space
@@ -296,7 +296,8 @@ def test_13_replay_fidelity(tmp_path):
         original = jb.run(space, problem, ladder, mode=mode, seed=17)
         first = export_reports(original, tmp_path / mode / "original")
         # the exported history.csv is the replay table
-        replayed_problem = replay_load(first[0], space)
+        replayed_problem = ReplayProblem.from_history(
+            read_history_csv(first[0], space, ladder))
         replayed = jb.run(space, replayed_problem, ladder, mode=mode, seed=17)
         assert trail(replayed) == trail(original)
         assert replayed.final_incumbent == original.final_incumbent

@@ -23,6 +23,14 @@ def small_run_args(out, seed="0", space=SPACE):
     ]
 
 
+def cut_last_row(path, keep=20):
+    """Cut the last row of a history.csv short, as a crash mid-write would;
+    returns that row's line number."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [lines[-1][:keep]]) + "\n")
+    return len(lines)
+
+
 def replay_args(replay_file, out, seed="0"):
     return [
         "run", "--space", SPACE, "--problem", "replay",
@@ -122,6 +130,23 @@ class TestRun:
         rc = run_cli(*replay_args(table, tmp_path / "replayed"))
         assert rc == 2
         assert "lacks columns" in capsys.readouterr().err
+
+    def test_replay_truncated_history_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "base"
+        assert run_cli(*small_run_args(out)) == 0
+        history = out / "seed_0" / "history.csv"
+        line = cut_last_row(history)
+        rc = run_cli(*replay_args(history, tmp_path / "replayed"))
+        assert rc == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+    def test_manifest_importance_without_flag(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"importance": True}))
+        out = tmp_path / "run"
+        assert run_cli(*small_run_args(out), "--manifest", str(manifest)) == 0
+        assert json.loads((out / "manifest.resolved.json").read_text())["importance"]
+        assert (out / "seed_0" / "importance.json").exists()
 
     def test_replay_missing_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "replayed"
@@ -230,6 +255,12 @@ class TestReportCommand:
             writer.writerows(rows)
         assert run_cli("report", "pareto", "--run", str(out)) == 2
         assert "run_seed" in capsys.readouterr().err
+
+    def test_pareto_truncated_history_exit_2(self, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        line = cut_last_row(out / "seed_0" / "history.csv")
+        assert run_cli("report", "pareto", "--run", str(out)) == 2
+        assert f"line {line}:" in capsys.readouterr().err
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "importance",

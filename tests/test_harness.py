@@ -1,9 +1,12 @@
 import math
 import sys
+import tempfile
 import zlib
 from pathlib import Path
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jahsband import configspace as cs
 from jahsband.analysis import export_reports
 from jahsband.harness import (
@@ -14,18 +17,17 @@ from jahsband.harness import (
     ExternalEvaluator,
     MalformedRowError,
     MissingEntryError,
-    Objectives,
     ProtocolError,
     RecordedFailure,
+    ReplayProblem,
     ShapeMismatchError,
     SyntheticProblem,
     config_key,
     dsc,
-    replay_load,
     unit_coordinates,
 )
 from jahsband.moo import CostVector
-from jahsband.priorband import RunHistory, run, write_history_csv
+from jahsband.priorband import RunHistory, read_history_csv, run, write_history_csv
 from jahsband.scheduler import Trial, budget_ladder
 from conftest import float_space
 ECHO_EVALUATOR = """\
@@ -215,13 +217,16 @@ class TestSyntheticProblem:
         ])
         coords = unit_coordinates(space, cs.Configuration({"c": "c"}))
         assert coords["c"] == 1.0
+LADDER = budget_ladder(1, 27, 3)
 def write_history(path, space, trials):
     """history.csv of the given trials, as a run would export it."""
-    history = RunHistory(space, budget_ladder(1, 27, 3))
+    history = RunHistory(space, LADDER)
     for trial in trials:
         history.add(trial)
     write_history_csv(history, path)
     return path
+def replay(path, space):
+    return ReplayProblem.from_history(read_history_csv(path, space, LADDER))
 class FlakyProblem:
     """A SyntheticProblem that, keyed by a hash of configuration and budget,
     fails one evaluation in seven and answers NaN for another."""
@@ -233,7 +238,7 @@ class FlakyProblem:
         if draw == 0:
             raise EvaluatorReportedFailure("flaky trainer")
         if draw == 1:
-            return Objectives(math.nan, 1.0)
+            return CostVector(math.nan, 1.0)
         return self.inner.evaluate(config, budget, seed, previous_budget)
 class TestReplay:
     @pytest.mark.parametrize("mode", ["priorband", "regularized"])
@@ -246,8 +251,8 @@ class TestReplay:
         statuses = {t.status for t in original.history.trials}
         assert statuses == {"ok", "failed"}
         first = export_reports(original, tmp_path / "original")
-        replayed = run(space, replay_load(first[0], space), ladder, mode=mode,
-                       seed=3)
+        replay = ReplayProblem.from_history(read_history_csv(first[0], space, ladder))
+        replayed = run(space, replay, ladder, mode=mode, seed=3)
         second = export_reports(replayed, tmp_path / "replayed")
         for f1, f2 in zip(first, second):
             assert f1.read_bytes() == f2.read_bytes()
@@ -256,14 +261,14 @@ class TestReplay:
         config = cs.Configuration({"p0": 0.25})
         trial = Trial(0, config, 0, 0, 9, "random", 0, cost=CostVector(0.5, 1.25))
         path = write_history(tmp_path / "history.csv", space, [trial])
-        problem = replay_load(path, space)
-        assert problem.evaluate(config, 9) == Objectives(0.5, 1.25)
+        problem = replay(path, space)
+        assert problem.evaluate(config, 9) == CostVector(0.5, 1.25)
     def test_missing_budget(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
         trial = Trial(0, config, 0, 0, 9, "random", 0, cost=CostVector(0.5, 1.0))
         path = write_history(tmp_path / "history.csv", space, [trial])
-        problem = replay_load(path, space)
+        problem = replay(path, space)
         with pytest.raises(MissingEntryError):
             problem.evaluate(config, 27)
         with pytest.raises(MissingEntryError):
@@ -276,11 +281,11 @@ class TestReplay:
             Trial(1, failed, 0, 0, 3, "random", 0, status="failed"),
             Trial(2, ok, 0, 0, 3, "random", 0, cost=CostVector(0.5, 1.0)),
         ])
-        problem = replay_load(path, space)
+        problem = replay(path, space)
         with pytest.raises(RecordedFailure) as info:
             problem.evaluate(failed, 3)
         assert isinstance(info.value, EvaluationFailed)
-        assert problem.evaluate(ok, 3) == Objectives(0.5, 1.0)
+        assert problem.evaluate(ok, 3) == CostVector(0.5, 1.0)
     def test_first_row_per_key_wins(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
@@ -289,7 +294,7 @@ class TestReplay:
             Trial(2, config, 0, 0, 3, "random", 0, status="failed"),
             Trial(3, config, 0, 0, 3, "random", 0, cost=CostVector(0.1, 2.0)),
         ])
-        assert replay_load(path, space).evaluate(config, 3) == Objectives(0.5, 1.0)
+        assert replay(path, space).evaluate(config, 3) == CostVector(0.5, 1.0)
     def test_old_table_format_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(
@@ -297,7 +302,7 @@ class TestReplay:
             '"{""arch"": null, ""params"": {""p0"": 0.25}}",9,0.5,1.25\n'
         )
         with pytest.raises(MalformedRowError):
-            replay_load(path, float_space(1))
+            read_history_csv(path, float_space(1), LADDER)
     def test_malformed_row(self, tmp_path):
         space = float_space(1)
         trial = Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random", 0,
@@ -306,18 +311,77 @@ class TestReplay:
         header, row = path.read_text().splitlines()
         path.write_text(header + "\n" + row.replace(",9,", ",x,", 1) + "\n")
         with pytest.raises(MalformedRowError, match="line 2"):
-            replay_load(path, space)
+            replay(path, space)
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(MalformedRowError):
-            replay_load(path, float_space(1))
+            read_history_csv(path, float_space(1), LADDER)
+    @pytest.mark.parametrize("cut", [20, -1])
+    def test_row_cut_short(self, tmp_path, cut):
+        # -1 drops only the (empty) architecture field's separator
+        space = float_space(1)
+        path = write_history(tmp_path / "history.csv", space, [
+            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random", 0,
+                  cost=CostVector(0.5, 1.0)),
+        ] * 2)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [lines[-1][:cut]]) + "\n")
+        with pytest.raises(MalformedRowError, match="line 3"):
+            read_history_csv(path, space, LADDER)
+    @pytest.mark.parametrize("old, new", [
+        (",0.5,1.0,9,ok,", ",,1.0,9,ok,"),
+        (",0.5,1.0,9,ok,", ",0.5,1.0,9,failed,"),
+        (",0.5,1.0,9,ok,", ",0.5,1.0,9,pending,"),
+        (",0.5,1.0,9,ok,", ",,,9,crashed,"),
+        ('"{""p0"": 0.25}"', '"{""p0"": 0.25"'),
+        ('"{""p0"": 0.25}"', "[0.25]"),
+    ])
+    def test_field_does_not_parse(self, tmp_path, old, new):
+        space = float_space(1)
+        path = write_history(tmp_path / "history.csv", space, [
+            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random", 0,
+                  cost=CostVector(0.5, 1.0)),
+        ])
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(MalformedRowError, match="line 2"):
+            read_history_csv(path, space, LADDER)
+    def test_architecture_needs_a_grammar(self, tmp_path):
+        space = cs.load_space(
+            Path(__file__).resolve().parents[1] / "spaces" / "hnas_grammar.json")
+        path = write_history(tmp_path / "history.csv", space, [
+            Trial(0, space.default_configuration(), 0, 0, 9, "random", 0,
+                  cost=CostVector(0.5, 1.0)),
+        ])
+        assert read_history_csv(path, space, LADDER).trials[0].configuration == (
+            space.default_configuration())
+        with pytest.raises(MalformedRowError, match="line 2: .*no grammar"):
+            read_history_csv(path, cs.build_space(space.parameters), LADDER)
+        path.write_text(path.read_text().replace("U-Net(", "W-Net(", 1))
+        with pytest.raises(MalformedRowError, match="line 2"):
+            read_history_csv(path, space, LADDER)
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**16), mode=st.sampled_from(["priorband", "regularized"]))
+    def test_write_read_round_trip(self, seed, mode):
+        space = float_space(3)
+        problem = FlakyProblem(SyntheticProblem.from_space(space, b_max=27))
+        history = run(space, problem, LADDER, mode=mode, seed=seed).history
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "history.csv"
+            write_history_csv(history, path)
+            loaded = read_history_csv(path, space, LADDER)
+        def fields(h):
+            return [(t.config_id, t.configuration, t.budget, t.cost, t.status,
+                     t.previous_budget, t.seed) for t in h.trials]
+        assert fields(loaded) == fields(history)
 class TestExternalEvaluator:
     def test_echo_objectives(self, tmp_path):
         space = float_space(1)
         with make_evaluator(tmp_path, ECHO_EVALUATOR, space) as evaluator:
             result = evaluator.evaluate(space.default_configuration(), 40)
-        assert result == Objectives(0.25, 0.04)
+        assert result == CostVector(0.25, 0.04)
     def test_reported_failure(self, tmp_path):
         space = float_space(1)
         with make_evaluator(tmp_path, FAIL_EVALUATOR, space) as evaluator:
@@ -342,7 +406,7 @@ class TestExternalEvaluator:
             with pytest.raises(EvaluatorTimeout):
                 evaluator.evaluate(config, 10)
             for _ in range(3):
-                assert evaluator.evaluate(config, 10) == Objectives(0.5, 1.0)
+                assert evaluator.evaluate(config, 10) == CostVector(0.5, 1.0)
     def test_dead_child_costs_one_request(self, tmp_path):
         space = float_space(1)
         config = space.default_configuration()
@@ -353,10 +417,10 @@ class TestExternalEvaluator:
                     outcomes.append(evaluator.evaluate(config, 10))
                 except ProtocolError:
                     outcomes.append(None)
-        assert outcomes[0] == Objectives(0.5, 1.0)
+        assert outcomes[0] == CostVector(0.5, 1.0)
         assert all(a is not None or b is not None
                    for a, b in zip(outcomes, outcomes[1:]))
-        assert outcomes.count(Objectives(0.5, 1.0)) >= 4
+        assert outcomes.count(CostVector(0.5, 1.0)) >= 4
     @pytest.mark.parametrize("stray", ["epoch 1 done", '{"epoch": 1}'])
     def test_stray_line_costs_one_request(self, tmp_path, stray):
         space = float_space(1)
@@ -369,7 +433,7 @@ class TestExternalEvaluator:
                     outcomes.append(evaluator.evaluate(config, 10))
                 except ProtocolError:
                     outcomes.append(None)
-        assert outcomes[0] == Objectives(0.5, 1.0)
+        assert outcomes[0] == CostVector(0.5, 1.0)
         assert all(a is not None or b is not None
                    for a, b in zip(outcomes, outcomes[1:]))
         assert outcomes.count(None) >= 2

@@ -443,7 +443,7 @@ class TestRun:
             def evaluate(self, config, budget, seed=0, previous_budget=None):
                 self.calls += 1
                 if self.calls == 5:
-                    return jb.Objectives(primary, runtime)
+                    return jb.CostVector(primary, runtime)
                 return problem.evaluate(config, budget, seed, previous_budget)
 
         result = jb.run(space, BadFifthCall(), ladder, seed=0)
