@@ -18,7 +18,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,45 @@ class _Node:
         self.value = value
 
 
+# A subtree whose root holds at most this many rows grows on Python lists
+# (:func:`_fit_small`), where numpy's per-call overhead would outweigh its
+# per-row speed; at most 128, so every node sum is one pairwise block
+_SCALAR_ROWS = 32
+
+
+def _sum(values: list[float]) -> float:
+    """``np.add.reduce`` of a float64 vector, bit for bit: numpy adds fewer
+    than 8 numbers in sequence, up to 128 in 8 strided accumulators that are
+    then added as a tree, and splits longer vectors at a multiple of 8 below
+    the half (pairwise summation). The builtin ``sum`` compensates on
+    Python 3.12 and later, so it cannot stand in."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    # numpy adds the block to a 0.0 start, which turns -0.0 into 0.0
+    total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for v in values[end:]:
+        total += v
+    return total
+
+
 def _best_numeric_splits(
     xs: np.ndarray, ys: np.ndarray, boundary: np.ndarray
 ) -> tuple[list[float], list[float]]:
@@ -98,32 +140,106 @@ def _best_numeric_splits(
     return gains[rows, best].tolist(), thresholds.tolist()
 
 
+def _best_numeric_split(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """:func:`_best_numeric_splits` of one sorted column on Python lists,
+    float for float: the cumulative sum adds in sequence, the node term is
+    squared by C ``pow`` (Python's ``**``, like a numpy scalar's) and each
+    cut's terms by a product (numpy's array square)."""
+    n = len(ys)
+    csum = list(accumulate(ys))
+    total = csum[-1]
+    whole = total**2 / n
+    best_gain, best = -math.inf, 0
+    for i in range(n - 1):
+        if xs[i + 1] > xs[i]:
+            left = csum[i]
+            right = total - left
+            gain = left * left / (i + 1) + right * right / (n - 1 - i) - whole
+            if gain > best_gain:
+                best_gain, best = gain, i
+    return best_gain, 0.5 * (xs[best] + xs[best + 1])
+
+
 def _best_categorical_split(
-    xs: np.ndarray, ys: np.ndarray, boundary: np.ndarray
+    xs: list[float], ys: list[float]
 ) -> tuple[float, frozenset[int]]:
     """(gain, left-subset) of the best subset split of a categorical column,
-    given as for :func:`_best_numeric_splits`; categories are ordered by
-    mean response, which is optimal for squared error."""
-    edges = [0, *(boundary.nonzero()[0] + 1).tolist(), xs.size]
-    if len(edges) < 3:
-        return 0.0, frozenset()
+    given as sorted category codes ``xs`` and their targets ``ys`` in the
+    same order; categories are ordered by mean response, which is optimal
+    for squared error."""
+    n = len(xs)
     # a category is one run of the sorted column, its rows in row order, so
-    # .sum() adds what a per-category mask would, in the same order
-    sums = np.array([ys[a:b].sum() for a, b in zip(edges, edges[1:])])
-    counts = np.array([b - a for a, b in zip(edges, edges[1:])])
-    order = (sums / counts).argsort(kind="stable")
-    csum = sums[order].cumsum()
-    ccnt = counts[order].cumsum()
-    total, n = csum[-1], ccnt[-1]
-    best_gain, best_cut = 0.0, 0
-    for cut in range(1, len(edges) - 1):
-        nl = ccnt[cut - 1]
+    # _sum adds what a per-category mask's .sum() would, in the same order
+    runs = []  # (mean, sum, count, code) per category, in code order
+    a = 0
+    while a < n:
+        b = bisect_right(xs, xs[a], a)
+        run_sum = _sum(ys[a:b])
+        runs.append((run_sum / (b - a), run_sum, b - a, xs[a]))
+        a = b
+    if len(runs) < 2:
+        return 0.0, frozenset()
+    runs.sort(key=itemgetter(0))  # stable: equal means keep code order
+    csum = list(accumulate([run[1] for run in runs]))
+    total = csum[-1]
+    best_gain, best_cut, nl = 0.0, 0, 0
+    for cut in range(1, len(runs)):
+        nl += runs[cut - 1][2]
         left = csum[cut - 1]
         gain = left**2 / nl + (total - left) ** 2 / (n - nl) - total**2 / n
         if gain > best_gain:
-            best_gain, best_cut = float(gain), cut
-    subset = frozenset(int(xs[edges[i]]) for i in order[:best_cut])
-    return best_gain, subset
+            best_gain, best_cut = gain, cut
+    return best_gain, frozenset(int(run[3]) for run in runs[:best_cut])
+
+
+def _fit_small(
+    cols: list[list[float]],
+    y: list[float],
+    depth: int,
+    categorical: dict[int, int],
+    max_depth: int,
+    n_candidates: int,
+    rng: np.random.Generator,
+) -> _Node:
+    """The subtree :func:`_fit_tree` grows over a few rows, on Python lists:
+    ``cols[f]`` holds column f of the subtree's rows, in row order, and
+    ``y`` their targets. Each node sorts its candidate columns stably, which
+    is the presorted order, and draws its candidates as the array path
+    does, so the tree and the random stream are the same."""
+    d = len(cols)
+    size = min(n_candidates, d)
+
+    def build(rows: list[int], depth: int) -> _Node:
+        ys = list(map(y.__getitem__, rows))
+        if depth >= max_depth or len(rows) < 2 or max(ys) == min(ys):
+            return _Node(_LEAF, value=_sum(ys) / len(ys))
+        best_gain, best = 1e-12, None
+        for f in rng.choice(d, size=size, replace=False).tolist():
+            col = cols[f]
+            order = sorted(rows, key=col.__getitem__)
+            xs = list(map(col.__getitem__, order))
+            ys_sorted = list(map(y.__getitem__, order))
+            if f in categorical:
+                gain, where = _best_categorical_split(xs, ys_sorted)
+                kind = _CATEGORICAL_SPLIT
+            else:
+                gain, where = _best_numeric_split(xs, ys_sorted)
+                kind = _NUMERIC_SPLIT
+            if gain > best_gain:
+                best_gain, best = gain, (kind, f, where)
+        if best is None:
+            return _Node(_LEAF, value=_sum(ys) / len(ys))
+        kind, f, where = best
+        col = cols[f]
+        if kind == _NUMERIC_SPLIT:
+            left = build([r for r in rows if col[r] <= where], depth + 1)
+            right = build([r for r in rows if not col[r] <= where], depth + 1)
+            return _Node(kind, f, threshold=where, left=left, right=right)
+        left = build([r for r in rows if col[r] in where], depth + 1)
+        right = build([r for r in rows if col[r] not in where], depth + 1)
+        return _Node(kind, f, subset=where, left=left, right=right)
+
+    return build(list(range(len(y))), depth)
 
 
 def _fit_tree(
@@ -141,10 +257,12 @@ def _fit_tree(
         # idx: the node's rows in ascending order; ranked[f]: the same rows
         # ordered by (X[row, f], row), i.e. the presorted column filtered by
         # membership, which is what a per-node stable argsort would give
+        if idx.size <= _SCALAR_ROWS:
+            return _fit_small(X[idx].T.tolist(), y[idx].tolist(), depth,
+                              categorical, max_depth, n_candidates, rng)
         ys = y[idx]
-        node_value = float(ys.mean())
-        if depth >= max_depth or idx.size < 2 or np.ptp(ys) == 0.0:
-            return _Node(_LEAF, value=node_value)
+        if depth >= max_depth or ys.max() == ys.min():
+            return _Node(_LEAF, value=float(ys.mean()))
         features = rng.choice(d, size=min(n_candidates, d), replace=False)
         rows = ranked[features]
         xs = X[rows, features[:, None]]
@@ -154,15 +272,16 @@ def _fit_tree(
         # over all rows is cheaper than selecting the numeric ones
         gains, thresholds = _best_numeric_splits(xs, ys_sorted, boundary)
         best_gain, best = 1e-12, None
-        for i, f in enumerate(features):
+        for i, f in enumerate(features.tolist()):
             if f in categorical:
-                gain, subset = _best_categorical_split(xs[i], ys_sorted[i], boundary[i])
+                gain, subset = _best_categorical_split(
+                    xs[i].tolist(), ys_sorted[i].tolist())
                 if gain > best_gain:
                     best_gain, best = gain, (_CATEGORICAL_SPLIT, f, subset)
             elif gains[i] > best_gain:
                 best_gain, best = gains[i], (_NUMERIC_SPLIT, f, thresholds[i])
         if best is None:
-            return _Node(_LEAF, value=node_value)
+            return _Node(_LEAF, value=float(ys.mean()))
         kind, f, where = best
         if kind == _NUMERIC_SPLIT:
             mask = X[idx, f] <= where
@@ -294,11 +413,22 @@ def fanova_first_order(
 
     Each tree argsorts every column once, stably, and hands each child its
     parent's sorted rows filtered by membership, the presorted attribute
-    lists of SLIQ (Mehta et al., EDBT 1996); no node sorts again. A node
-    scores all its candidate columns in one 2-D pass (cumulative sums,
-    boundary mask, first maximum per row). Sums are added in the order a
-    per-node sort would give, so every forest, and every importance, is
-    bit-identical to scoring each column on its own.
+    lists of SLIQ (Mehta et al., EDBT 1996). A node scores all its
+    candidate columns in one 2-D pass (cumulative sums, boundary mask,
+    first maximum per row). Sums are added in the order a per-node sort
+    would give, so every forest, and every importance, is bit-identical to
+    scoring each column on its own.
+
+    A subtree whose root holds at most ``_SCALAR_ROWS`` (32) rows grows on
+    Python lists instead, where numpy's per-call cost would dominate: each
+    of its nodes sorts its candidate columns stably and scores them one by
+    one. That scalar path adds in numpy's order, so the forest stays
+    bit-identical: cumulative sums in sequence; a node's ``.sum()`` and
+    ``.mean()`` as numpy's pairwise sum (sequential below 8 numbers, 8
+    accumulators up to 128); the node term ``total**2 / n`` through C
+    ``pow``; each cut's squares as products, as numpy squares an array. It
+    draws each node's candidates from ``rng`` at the same point, depth
+    first, so the random stream does not change either.
     """
     if trees < 1:
         raise ValueError("need at least one tree")

@@ -173,8 +173,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    # a replay table is read once, for every seed: lookups never change it
+    replay = manifest["problem"] == "replay"
+    problem = _build_problem(manifest, space, ladder) if replay else None
     for seed in manifest["seeds"]:
-        problem = _build_problem(manifest, space, ladder)
+        if not replay:
+            problem = _build_problem(manifest, space, ladder)
         try:
             result = priorband.run(
                 space,

@@ -467,21 +467,18 @@ def serialize(derivation: Derivation) -> str:
     return _join_tokens(tokens)
 
 
-_TOKEN = re.compile(r"[(),]|[A-Za-z0-9][A-Za-z0-9_.\-]*")
+# a token, or (the error alternative) any other character but whitespace,
+# which the scan skips because neither alternative matches it
+_TOKEN = re.compile(r"([(),]|[A-Za-z0-9][A-Za-z0-9_.\-]*)|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((match.group(), pos))
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        token = match[1]
+        if token is None:
+            raise ParseError(f"unexpected character {match[2]!r}", match.start())
+        tokens.append((token, match.start()))
     return tokens
 
 

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 import jahsband as jb
 from jahsband import configspace as cs
+from jahsband import analysis
 from jahsband.analysis import (
+    _SCALAR_ROWS,
     InsufficientDataError,
     SpaceMismatchError,
     _best_categorical_split,
+    _best_numeric_split,
     _best_numeric_splits,
+    _sum,
     cross_eval,
     export_reports,
     fanova_first_order,
@@ -141,12 +145,20 @@ def mixed_histories(draw):
         **{f"c{i}": st.sampled_from([f"v{j}" for j in u])
            for i, u in enumerate(used)},
     })
-    n = draw(st.integers(2, 80))
+    # up to several times _SCALAR_ROWS, so most trees grow their top nodes
+    # on arrays and the rest on lists, and some stay on lists throughout
+    n = draw(st.integers(2, 200))
     base = draw(st.lists(row, min_size=1, max_size=n))
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
     ys = draw(st.lists(st.sampled_from(draw(pool)), min_size=n, max_size=n))
     rows = [(cs.Configuration(dict(base[i])), y, 1.0) for i, y in zip(picks, ys)]
     return history_from_table(space, rows)
+
+
+def grammar_space_history():
+    space = cs.load_space(SPACES_DIR / "jahs_table3_4.json")
+    problem = SyntheticProblem.from_space(space)
+    return jb.run(space, problem, jb.budget_ladder(1, 27, 3), seed=4).history
 
 
 def assert_matches_oracle(history, trees, seed, max_depth):
@@ -162,8 +174,8 @@ def assert_matches_oracle(history, trees, seed, max_depth):
 
 
 class TestFanovaMatchesOracle:
-    """The presorted, batched forest equals the frozen per-node forest
-    float for float."""
+    """The presorted, batched forest, with its small subtrees grown on
+    Python lists, equals the frozen per-node forest float for float."""
 
     @settings(max_examples=120, deadline=None)
     @given(history=mixed_histories(), trees=st.integers(1, 4),
@@ -202,9 +214,12 @@ class TestFanovaMatchesOracle:
                     repr(gain), repr(threshold))
             else:
                 assert gains[i] == -np.inf and gain == 0.0
+            # the list path scores the same sorted rows to the same floats
+            assert repr(_best_numeric_split(xs[i].tolist(), ys[i].tolist())) \
+                == repr((gains[i], thresholds[i]))
             codes = np.unique(X[i], return_inverse=True)[1].astype(float)
             gain, subset = _best_categorical_split(
-                codes[order[i]], ys[i], boundary[i])
+                codes[order[i]].tolist(), ys[i].tolist())
             expected_gain, expected_subset = oracle._best_categorical_split(
                 codes, y)
             assert (repr(gain), subset) == (repr(expected_gain), expected_subset)
@@ -215,13 +230,33 @@ class TestFanovaMatchesOracle:
         x = np.array([[0.0, 1.0]])
         y = np.array([566.2550030853232, 0.0])
         gains, _ = _best_numeric_splits(x, y[None, :], x[:, 1:] > x[:, :-1])
-        assert repr(gains[0]) == repr(oracle._best_numeric_split(x[0], y)[0])
+        expected = repr(oracle._best_numeric_split(x[0], y)[0])
+        assert repr(gains[0]) == expected
+        assert repr(_best_numeric_split([0.0, 1.0], y.tolist())[0]) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, _SCALAR_ROWS) | st.integers(_SCALAR_ROWS + 1, 600),
+           scale=st.sampled_from([1.0, 1e3, 1e-3]))
+    def test_sum_adds_in_numpy_order(self, seed, n, scale):
+        """_sum is ndarray.sum() and _sum / n is ndarray.mean(), bit for
+        bit: sequential below 8 numbers, 8 accumulators up to 128, pairwise
+        halves above (the categorical scorer sums long runs on big nodes)."""
+        y = np.random.default_rng(seed).normal(scale=scale, size=n)
+        values = y.tolist()
+        assert repr(_sum(values)) == repr(float(y.sum()))
+        assert repr(_sum(values) / n) == repr(float(y.mean()))
+
+    @pytest.mark.parametrize("cutoff", [0, 10**6])
+    def test_array_and_list_paths_alone(self, monkeypatch, cutoff):
+        # 0 grows every node on arrays, 10**6 every node on lists
+        monkeypatch.setattr(analysis, "_SCALAR_ROWS", cutoff)
+        assert_matches_oracle(grammar_space_history(), trees=8, seed=0,
+                              max_depth=12)
 
     def test_grammar_space_run(self):
-        space = cs.load_space(SPACES_DIR / "jahs_table3_4.json")
-        problem = SyntheticProblem.from_space(space)
-        result = jb.run(space, problem, jb.budget_ladder(1, 27, 3), seed=4)
-        assert_matches_oracle(result.history, trees=8, seed=0, max_depth=12)
+        assert_matches_oracle(grammar_space_history(), trees=8, seed=0,
+                              max_depth=12)
 
 
 class TestCrossEval:

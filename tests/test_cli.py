@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 
-from jahsband import grammar as hg
+from jahsband import grammar as hg, priorband
 from jahsband.cli import main
 
 SPACES_DIR = Path(__file__).resolve().parents[1] / "spaces"
@@ -123,6 +123,34 @@ class TestRun:
         for name in ("history.csv", "pareto.json", "incumbent_trajectory.csv"):
             assert (out / "seed_0" / name).read_bytes() == (
                 out2 / "seed_0" / name).read_bytes()
+
+    def test_replay_reads_history_once(self, tmp_path, monkeypatch):
+        base = tmp_path / "base"
+        assert run_cli(*small_run_args(base, seed="0,1,2")) == 0
+        # one table holding all three seeds' rows, so every seed replays
+        lines = []
+        for k in range(3):
+            rows = (base / f"seed_{k}" / "history.csv").read_text().splitlines()
+            lines += rows if k == 0 else rows[1:]
+        table = tmp_path / "all.csv"
+        table.write_text("\n".join(lines) + "\n")
+        for k in range(3):
+            assert run_cli(*replay_args(table, tmp_path / f"alone_{k}", seed=str(k))) == 0
+        reads = []
+        original = priorband.read_history_csv
+
+        def counting(*args, **kwargs):
+            reads.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(priorband, "read_history_csv", counting)
+        together = tmp_path / "together"
+        assert run_cli(*replay_args(table, together, seed="0,1,2")) == 0
+        assert len(reads) == 1
+        for k in range(3):
+            for name in ("history.csv", "pareto.json", "incumbent_trajectory.csv"):
+                assert (together / f"seed_{k}" / name).read_bytes() == (
+                    tmp_path / f"alone_{k}" / f"seed_{k}" / name).read_bytes()
 
     def test_replay_old_table_format_exit_2(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

@@ -1,9 +1,14 @@
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jahsband import grammar as hg
+
+import grammar_oracle as oracle
 
 
 def worked_example():
@@ -203,6 +208,77 @@ class TestSerializeParse:
         text = hg.serialize(hg.default_derivation(g)) + " extra"
         with pytest.raises(hg.NotInLanguageError):
             hg.parse(g, text)
+
+
+@lru_cache(maxsize=None)
+def cached_grammar(n_stages, scale):
+    return hg.build_grammar(n_stages, scale)
+
+
+@st.composite
+def sampled_derivations(draw):
+    """(grammar, derivation) over build_grammar(2..6, 1..3), drawn uniformly
+    or from the prior around the default derivation."""
+    g = cached_grammar(draw(st.integers(2, 6)), draw(st.integers(1, 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mode = draw(st.sampled_from(["uniform", "low", "medium", "high"]))
+    if mode == "uniform":
+        return g, hg.sample_derivation(g, "uniform", seed)
+    return g, hg.sample_derivation(g, ("prior", hg.default_derivation(g), mode), seed)
+
+
+# characters a garbled string may gain: token characters, separators, ASCII
+# and Unicode whitespace, and characters no token may start with
+GARBLE = "aZ09b_.-(),  \t\n\u00a0\u2003%$#+é\x00"
+
+
+@st.composite
+def mutated_strings(draw):
+    """(grammar, text): a serialized derivation with one token dropped, two
+    tokens swapped, or one character replaced or inserted."""
+    g, d = draw(sampled_derivations())
+    text = hg.serialize(d)
+    spans = [(pos, pos + len(tok)) for tok, pos in oracle._tokenize(text)]
+    how = draw(st.sampled_from(["drop", "swap", "replace", "insert"]))
+    if how == "drop":
+        a, b = spans[draw(st.integers(0, len(spans) - 1))]
+        return g, text[:a] + text[b:]
+    if how == "swap":
+        i = draw(st.integers(0, len(spans) - 2))
+        j = draw(st.integers(i + 1, len(spans) - 1))
+        (a, b), (c, e) = spans[i], spans[j]
+        return g, text[:a] + text[c:e] + text[b:c] + text[a:b] + text[e:]
+    at = draw(st.integers(0, len(text) - (how == "replace")))
+    char = draw(st.sampled_from(GARBLE))
+    return g, text[:at] + char + text[at + (how == "replace"):]
+
+
+def parse_outcome(parse, g, text):
+    try:
+        return "derivation", parse(g, text)
+    except hg.ParseError as exc:
+        return type(exc), exc.position, str(exc)
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sampled_derivations())
+    def test_parse_inverts_serialize(self, case):
+        g, d = case
+        assert hg.parse(g, hg.serialize(d)) == d
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=mutated_strings())
+    def test_mutated_strings_fail_as_before(self, case):
+        """Same derivation, or the same error class, position and message,
+        as the frozen character-by-character parser."""
+        g, text = case
+        assert parse_outcome(hg.parse, g, text) == parse_outcome(oracle.parse, g, text)
+
+    @pytest.mark.parametrize("text", ["", "   ", "\u00a0", "%", " ,", "U-Net(%)"])
+    def test_edge_strings_fail_as_before(self, text):
+        g = cached_grammar(2, 1)
+        assert parse_outcome(hg.parse, g, text) == parse_outcome(oracle.parse, g, text)
 
 
 class TestFeatures:
