@@ -79,7 +79,8 @@ class _Node:
 
 # A subtree whose root holds at most this many rows grows on Python lists
 # (:func:`_fit_small`), where numpy's per-call overhead would outweigh its
-# per-row speed; at most 128, so every node sum is one pairwise block
+# per-row speed. Larger nodes keep the presorted numpy path, which is faster
+# there; :func:`_sum` adds a list of any length as numpy would
 _SCALAR_ROWS = 32
 
 
@@ -425,10 +426,11 @@ def fanova_first_order(
     one. That scalar path adds in numpy's order, so the forest stays
     bit-identical: cumulative sums in sequence; a node's ``.sum()`` and
     ``.mean()`` as numpy's pairwise sum (sequential below 8 numbers, 8
-    accumulators up to 128); the node term ``total**2 / n`` through C
-    ``pow``; each cut's squares as products, as numpy squares an array. It
-    draws each node's candidates from ``rng`` at the same point, depth
-    first, so the random stream does not change either.
+    accumulators up to 128, halves added pairwise above); the node term
+    ``total**2 / n`` through C ``pow``; each cut's squares as products, as
+    numpy squares an array. It draws each node's candidates from ``rng`` at
+    the same point, depth first, so the random stream does not change
+    either.
     """
     if trees < 1:
         raise ValueError("need at least one tree")

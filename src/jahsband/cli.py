@@ -168,16 +168,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     # on even if a later one fails
     record = dict(manifest)
     record["resolved_space"] = cs.space_to_dict(space)
+    problem = None
     if manifest["problem"] == "synthetic":
-        record["resolved_problem"] = _build_problem(manifest, space, ladder).to_dict()
+        problem = _build_problem(manifest, space, ladder)
+        record["resolved_problem"] = problem.to_dict()
     with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    # a replay table is read once, for every seed: lookups never change it
-    replay = manifest["problem"] == "replay"
-    problem = _build_problem(manifest, space, ladder) if replay else None
     for seed in manifest["seeds"]:
-        if not replay:
+        # synthetic and replay problems are immutable and serve every seed;
+        # an external evaluator is closed after each seed, so it is rebuilt
+        if problem is None or isinstance(problem, ExternalEvaluator):
             problem = _build_problem(manifest, space, ladder)
         try:
             result = priorband.run(

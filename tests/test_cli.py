@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 
-from jahsband import grammar as hg, priorband
+from jahsband import cli, grammar as hg, priorband
 from jahsband.cli import main
 
 SPACES_DIR = Path(__file__).resolve().parents[1] / "spaces"
@@ -77,6 +77,25 @@ class TestRun:
         assert sorted(p.name for p in out.glob("seed_*")) == [
             "seed_0", "seed_1", "seed_2",
         ]
+
+    def test_synthetic_problem_built_once(self, tmp_path, monkeypatch):
+        for k in range(2):
+            assert run_cli(*small_run_args(tmp_path / f"alone_{k}", seed=str(k))) == 0
+        builds = []
+        original = cli._build_problem
+
+        def counting(*args):
+            builds.append(args[0]["problem"])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_build_problem", counting)
+        together = tmp_path / "together"
+        assert run_cli(*small_run_args(together, seed="0,1")) == 0
+        assert builds == ["synthetic"]
+        for k in range(2):
+            for name in ("history.csv", "pareto.json", "incumbent_trajectory.csv"):
+                assert (together / f"seed_{k}" / name).read_bytes() == (
+                    tmp_path / f"alone_{k}" / f"seed_{k}" / name).read_bytes()
 
     def test_manifest_file_with_flag_override(self, tmp_path):
         manifest = tmp_path / "manifest.json"
