@@ -35,6 +35,10 @@ class InsufficientDataError(ValueError):
     """Too few distinct configurations to fit anything."""
 
 
+class ForestSettingsError(ValueError):
+    """An importance forest needs at least one tree and a seed >= 0."""
+
+
 class SpaceMismatchError(ValueError):
     """Cross-evaluation inputs do not share one search space."""
 
@@ -432,8 +436,8 @@ def fanova_first_order(
     the same point, depth first, so the random stream does not change
     either.
     """
-    if trees < 1:
-        raise ValueError("need at least one tree")
+    if trees < 1 or seed < 0:
+        raise ForestSettingsError(f"need trees >= 1 and seed >= 0, got {trees}, {seed}")
     X, y, names, categorical = _history_matrix(history)
     if len(y) < 2 or len({tuple(r) for r in X.tolist()}) < 2:
         raise InsufficientDataError("need >= 2 distinct configurations")

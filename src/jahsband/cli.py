@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
 from . import analysis, configspace as cs, priorband
 from .grammar import (
-    InvalidStageCountError,
+    GrammarError,
     build_grammar,
     count_derivations,
     default_derivation,
@@ -28,13 +29,16 @@ from .grammar import (
     serialize,
 )
 from .harness import (
+    BudgetOutOfRangeError,
     EvaluationFailed,
     ExternalEvaluator,
+    InvalidProblemError,
+    MalformedRowError,
     MissingEntryError,
     ReplayProblem,
     SyntheticProblem,
 )
-from .scheduler import BudgetLadder, budget_ladder
+from .scheduler import BudgetLadder, InvalidBudgetsError, budget_ladder
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,7 +49,15 @@ OUTPUT_ROOT_ENV = "JAHSBAND_OUT"
 
 
 class ManifestError(ValueError):
-    """The run manifest is incomplete or inconsistent."""
+    """The run manifest or a command-line value is incomplete or invalid."""
+
+
+#: the values a run's restricted keys may take, from a flag or a manifest
+_RUN_CHOICES = {
+    "problem": ("synthetic", "replay", "external"),
+    "mode": ("priorband", "regularized"),
+    "policy": ("standard-hb", "as-written"),
+}
 
 
 _RUN_DEFAULTS = {
@@ -72,15 +84,17 @@ _RUN_DEFAULTS = {
 }
 
 
+_SEED_SPEC = re.compile(r"(\d+)(?:\.\.(\d+))?")
+
+
 def _parse_seed_spec(spec: str) -> list[int]:
     seeds: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        match = _SEED_SPEC.fullmatch(part)
+        if match is None:
+            raise ManifestError(f"seed {part!r} is not n or lo..hi with n, lo, hi >= 0")
+        lo, hi = match.groups()
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
 
 
@@ -120,6 +134,12 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
         raise ManifestError(f"space file not found: {resolved['space']}")
     if not resolved["seeds"]:
         raise ManifestError("at least one seed required")
+    all_seeds = [*resolved["seeds"], resolved["problem_seed"]]
+    if not all(type(s) is int and s >= 0 for s in all_seeds):
+        raise ManifestError(f"seeds must be integers >= 0, got {all_seeds}")
+    for key, choices in _RUN_CHOICES.items():
+        if resolved[key] not in choices:
+            raise ManifestError(f"{key} must be one of {choices}, got {resolved[key]!r}")
     if resolved["out"] is None:
         raise ManifestError(
             f"no output directory (--out, manifest, or ${OUTPUT_ROOT_ENV})"
@@ -200,13 +220,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _block_counts(text: str) -> tuple[int, ...]:
+    """argparse type of a comma-separated block profile."""
+    return tuple(int(v) for v in text.split(","))
+
+
 def _grammar_from_args(args: argparse.Namespace):
-    blocks = {}
-    for key, raw in (("conv", args.conv_blocks), ("residual", args.res_blocks),
-                     ("decoder", args.dec_blocks)):
-        if raw:
-            blocks[key] = tuple(int(v) for v in raw.split(","))
-    return build_grammar(args.stages, args.scale, blocks or None)
+    blocks = {"conv": args.conv_blocks, "residual": args.res_blocks,
+              "decoder": args.dec_blocks}
+    return build_grammar(args.stages, args.scale, blocks)
 
 
 def cmd_grammar(args: argparse.Namespace) -> int:
@@ -314,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an optimization run")
     p_run.add_argument("--manifest", help="JSON manifest; flags override it")
     p_run.add_argument("--space", help="search space JSON file")
-    p_run.add_argument("--problem", choices=["synthetic", "replay", "external"])
+    p_run.add_argument("--problem", choices=_RUN_CHOICES["problem"])
     p_run.add_argument("--replay-file")
     p_run.add_argument("--external-cmd")
     p_run.add_argument("--external-timeout", type=float)
-    p_run.add_argument("--mode", choices=["priorband", "regularized"])
-    p_run.add_argument("--policy", choices=["standard-hb", "as-written"])
+    p_run.add_argument("--mode", choices=_RUN_CHOICES["mode"])
+    p_run.add_argument("--policy", choices=_RUN_CHOICES["policy"])
     p_run.add_argument("--eta", type=int)
     p_run.add_argument("--min-budget", type=int)
     p_run.add_argument("--max-budget", type=int)
@@ -345,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["count", "enumerate", "sample"])
     p_grammar.add_argument("--stages", type=int, required=True)
     p_grammar.add_argument("--scale", type=int, default=1)
-    p_grammar.add_argument("--conv-blocks")
-    p_grammar.add_argument("--res-blocks")
-    p_grammar.add_argument("--dec-blocks")
+    p_grammar.add_argument("--conv-blocks", type=_block_counts)
+    p_grammar.add_argument("--res-blocks", type=_block_counts)
+    p_grammar.add_argument("--dec-blocks", type=_block_counts)
     p_grammar.add_argument("--limit", type=int, default=None)
     p_grammar.add_argument("--mode", choices=["uniform", "prior"],
                            default="uniform")
@@ -381,9 +403,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--runs is required")
     try:
         return args.func(args)
-    except (ManifestError, cs.SpaceError, InvalidStageCountError,
-            analysis.SpaceMismatchError, analysis.InsufficientDataError,
-            ValueError) as exc:
+    # the package's own input errors, and a file that is not UTF-8 or not
+    # JSON; any other ValueError is a fault and keeps its traceback
+    except (ManifestError, cs.SpaceError, GrammarError, InvalidBudgetsError,
+            InvalidProblemError, BudgetOutOfRangeError, MalformedRowError,
+            priorband.EmptyHistoryError, priorband.NoMaxBudgetTrialError,
+            analysis.ForestSettingsError, analysis.SpaceMismatchError,
+            analysis.InsufficientDataError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (EvaluationFailed, MissingEntryError) as exc:

@@ -77,15 +77,6 @@ def _truncnorm_sample(
     return float(mu + sigma * ndtri(u))
 
 
-def _truncnorm_logpdf(x: float, mu: float, sigma: float) -> float:
-    """Log density at x of a normal(mu, sigma) truncated to [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        return -math.inf
-    z = (x - mu) / sigma
-    mass = ndtr((1.0 - mu) / sigma) - ndtr((0.0 - mu) / sigma)
-    return -0.5 * z * z - math.log(sigma * math.sqrt(2.0 * math.pi) * mass)
-
-
 @dataclass(frozen=True)
 class ParameterSpec:
     """A single hyperparameter: its kind, domain, default, and prior width.
@@ -405,29 +396,62 @@ def sample(
     return Configuration(assignments, derivation)
 
 
+def log_densities(
+    space: SearchSpace,
+    rows: Iterable[Sequence[float]],
+    center: Sequence[float],
+    confidence: str | None = None,
+) -> list[float]:
+    """Log density of each :func:`normalize` row in ``rows`` under the
+    prior-style distribution centered at the row ``center``: a sum over
+    parameters of truncated-normal log densities (numeric kinds) and log
+    boosted-default category probabilities. With ``confidence=None`` each
+    parameter uses its own declared confidence. Architecture coordinates do
+    not enter the sum.
+
+    A numeric parameter's log normalizer ``log(sigma * sqrt(2 pi) * mass)``
+    and a categorical one's log probabilities depend on the center alone, so
+    they are computed once per call. Each row then adds its terms in
+    parameter order with the operations of a row-by-row evaluation, so every
+    density is bit-identical to that evaluation's.
+    """
+    # (center, sigma, log normalizer, None) per numeric parameter and
+    # (center, None, log match, log mismatch) per categorical one
+    terms = []
+    for spec, c in zip(space.parameters, center):
+        conf = confidence or spec.prior_confidence
+        if spec.kind == CATEGORICAL:
+            m = CONFIDENCE_MULTIPLIER[conf]
+            k = m + spec.n_choices - 1
+            terms.append((c, None, math.log(m / k), math.log(1 / k)))
+        else:
+            sigma = CONFIDENCE_SIGMA[conf]
+            mass = ndtr((1.0 - c) / sigma) - ndtr((0.0 - c) / sigma)
+            norm = math.log(sigma * math.sqrt(2.0 * math.pi) * mass)
+            terms.append((c, sigma, norm, None))
+    densities = []
+    for row in rows:
+        total = 0.0
+        for x, (c, sigma, a, b) in zip(row, terms):
+            if sigma is None:
+                total += a if x == c else b
+            elif 0.0 <= x <= 1.0:
+                z = (x - c) / sigma
+                total += -0.5 * z * z - a
+            else:
+                total += -math.inf
+        densities.append(total)
+    return densities
+
+
 def log_density(
     space: SearchSpace,
     row: Sequence[float],
     center: Sequence[float],
     confidence: str | None = None,
 ) -> float:
-    """Log density of the :func:`normalize` row ``row`` under the prior-style
-    distribution centered at the row ``center``: a sum over parameters of
-    truncated-normal log densities (numeric kinds) and log boosted-default
-    category probabilities.
-
-    With ``confidence=None`` each parameter uses its own declared confidence.
-    Architecture coordinates do not enter the sum.
-    """
-    total = 0.0
-    for spec, x, c in zip(space.parameters, row, center):
-        conf = confidence or spec.prior_confidence
-        if spec.kind == CATEGORICAL:
-            m = CONFIDENCE_MULTIPLIER[conf]
-            total += math.log((m if x == c else 1) / (m + spec.n_choices - 1))
-        else:
-            total += _truncnorm_logpdf(x, c, CONFIDENCE_SIGMA[conf])
-    return total
+    """:func:`log_densities` of the one row ``row``."""
+    return log_densities(space, [row], center, confidence)[0]
 
 
 def log_prior_pdf(

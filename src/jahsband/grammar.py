@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -41,11 +41,15 @@ NONLIN_OPTIONS = ("LeakyReLU", "ReLU", "ELU", "PReLU", "GELU")
 DROPOUT_OPTIONS = ("Dropout", "NoDropout")
 
 
-class InvalidStageCountError(ValueError):
+class GrammarError(ValueError):
+    """A grammar, a derivation or a grammar operation's argument is invalid."""
+
+
+class InvalidStageCountError(GrammarError):
     """Stage count below the minimum of 2."""
 
 
-class ParseError(ValueError):
+class ParseError(GrammarError):
     """A string could not be tokenized or structured."""
 
     def __init__(self, message: str, position: int) -> None:
@@ -90,10 +94,10 @@ class Grammar:
         block_info: dict[str, tuple[int, int]] | None = None,
     ) -> None:
         if start not in productions:
-            raise ValueError(f"start symbol {start!r} has no productions")
+            raise GrammarError(f"start symbol {start!r} has no productions")
         for lhs, alts in productions.items():
             if not alts:
-                raise ValueError(f"{lhs}: no alternatives")
+                raise GrammarError(f"{lhs}: no alternatives")
         self.productions = dict(productions)
         self.start = start
         self.n_stages_max = n_stages_max
@@ -127,12 +131,18 @@ class Grammar:
     def unit_features(self, derivation: Derivation) -> tuple[float, float]:
         """Two coordinates in [0, 1] summarizing a U-Net derivation: its stage
         count and its total block count, each relative to this grammar's
-        range."""
-        feats = extract_features(derivation)
+        range. Both counts are read off the derivation, with no full
+        :func:`extract_features`: the stage count is the number of encoder
+        block children, and block rule alternative i holds i + 1 blocks. They
+        are the integers ``extract_features`` counts, divided the same way."""
+        rules = self.block_info
+        _, _, (_, _, encoder, _, decoder, _) = derivation  # U-Net(kE, kD)
+        enc = [c[1] + 1 for c in encoder[2] if isinstance(c, tuple) and c[0] in rules]
+        dec = [c[1] + 1 for c in decoder[2] if isinstance(c, tuple) and c[0] in rules]
         lo, hi = self.n_stages_min, self.n_stages_max
-        stages = (feats.n_stages - lo) / (hi - lo) if hi > lo else 0.0
+        stages = (len(enc) - lo) / (hi - lo) if hi > lo else 0.0
         min_total, max_total = self.total_blocks_range
-        blocks = (feats.total_blocks - min_total) / (max_total - min_total) \
+        blocks = (sum(enc) + sum(dec) - min_total) / (max_total - min_total) \
             if max_total > min_total else 0.0
         return stages, blocks
 
@@ -153,7 +163,7 @@ def build_grammar(
     if n_stages_max < 2:
         raise InvalidStageCountError(f"n_stages_max={n_stages_max} < 2")
     if model_scale_max < 1:
-        raise ValueError("model_scale_max must be >= 1")
+        raise GrammarError("model_scale_max must be >= 1")
     profile = default_block_profile(n_stages_max)
     if default_blocks:
         profile.update(
@@ -163,9 +173,9 @@ def build_grammar(
                       ("decoder", n_stages_max - 1)):
         blocks = profile[key]
         if len(blocks) < need:
-            raise ValueError(f"{key} block profile needs {need} entries")
+            raise GrammarError(f"{key} block profile needs {need} entries")
         if any(b < 1 for b in blocks):
-            raise ValueError(f"{key} block counts must be >= 1")
+            raise GrammarError(f"{key} block counts must be >= 1")
 
     lo = max(2, n_stages_max // 2)
     prods: dict[str, tuple[tuple[str, ...], ...]] = {}
@@ -238,7 +248,7 @@ def count_derivations(grammar: Grammar) -> int:
         if sym in memo:
             return memo[sym]
         if sym in visiting:
-            raise ValueError(f"grammar is cyclic at {sym}")
+            raise GrammarError(f"grammar is cyclic at {sym}")
         visiting.add(sym)
         total = 0
         for alt in grammar.productions[sym]:
@@ -284,7 +294,7 @@ def enumerate_derivations(
     holding all derivations in memory.
     """
     if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
+        raise GrammarError("limit must be >= 1")
 
     def _iter_start() -> Iterator[Derivation]:
         memo: dict[str, list[Derivation]] = {}
@@ -327,12 +337,14 @@ def _build(grammar: Grammar, sym: str, choose: Callable[[str], int]) -> Derivati
     return (sym, ai, children)
 
 
+@lru_cache(maxsize=64)
 def default_derivation(grammar: Grammar) -> Derivation:
     """The derivation every prior is anchored to: maximum stages,
     convolutional encoder, InstanceNorm / LeakyReLU / no dropout, and the
-    profile's default block count at every stage."""
+    profile's default block count at every stage. Built once per grammar;
+    a derivation is an immutable tuple, so every caller can share it."""
     if grammar.n_stages_max is None:
-        raise ValueError("default derivation needs a U-Net grammar")
+        raise GrammarError("default derivation needs a U-Net grammar")
     stages_alt = grammar.n_stages_max - grammar.n_stages_min
 
     def choose(nt: str) -> int:
@@ -363,6 +375,19 @@ def _choice_map(derivation: Derivation) -> dict[str, int]:
 _ENCODER_RULE = re.compile(r"^\d+E$")
 
 
+@lru_cache(maxsize=256)
+def _prior_plan(grammar: Grammar, center: Derivation) -> tuple[dict[str, int], int]:
+    """A prior center's alternative per rule (shared: read only) and its
+    encoder alternative, kept per (grammar, center). An invalid center
+    raises, so it is never kept."""
+    if not validate_derivation(grammar, center):
+        raise GrammarError("prior center is not a derivation of this grammar")
+    defaults = _choice_map(center)
+    return defaults, next(
+        (ai for lhs, ai in defaults.items() if _ENCODER_RULE.match(lhs)), 0
+    )
+
+
 def sample_derivation(
     grammar: Grammar,
     mode: str | tuple = "uniform",
@@ -385,14 +410,9 @@ def sample_derivation(
                       lambda nt: int(rng.integers(len(prods[nt]))))
 
     if not (isinstance(mode, tuple) and mode[0] == "prior"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise GrammarError(f"unknown mode {mode!r}")
     _, center, confidence = mode
-    if not validate_derivation(grammar, center):
-        raise ValueError("prior center is not a derivation of this grammar")
-    defaults = _choice_map(center)
-    encoder_alt = next(
-        (ai for lhs, ai in defaults.items() if _ENCODER_RULE.match(lhs)), 0
-    )
+    defaults, encoder_alt = _prior_plan(grammar, center)
     sigma = CONFIDENCE_SIGMA[confidence]
     m = CONFIDENCE_MULTIPLIER[confidence]
 
@@ -564,7 +584,7 @@ def extract_features(derivation: Derivation) -> ArchFeatures:
             elif child[0].endswith("D"):
                 dec_node = child
     if enc_node is None or dec_node is None:
-        raise ValueError("not a U-Net derivation")
+        raise GrammarError("not a U-Net derivation")
 
     def side(node: Derivation) -> tuple[list[int], str, str, bool]:
         blocks: list[int] = []

@@ -51,6 +51,10 @@ class MissingEntryError(KeyError):
     """Replay history has no trial for a (configuration, budget) key."""
 
 
+class InvalidProblemError(ValueError):
+    """A problem's settings are out of range or cannot be parsed."""
+
+
 class MalformedRowError(ValueError):
     """A history.csv lacks a column or has a row that cannot be parsed."""
 
@@ -147,17 +151,17 @@ class SyntheticProblem:
         for source in (self.optimum, self.weights):
             unknown = set(source) - names
             if unknown:
-                raise ValueError(f"unknown coordinate names: {sorted(unknown)}")
+                raise InvalidProblemError(f"unknown coordinate names: {sorted(unknown)}")
         if any(not 0.0 <= v <= 1.0 for v in self.optimum.values()):
-            raise ValueError("optimum must lie inside the unit cube")
+            raise InvalidProblemError("optimum must lie inside the unit cube")
         if any(w < 0 for w in self.weights.values()) or not any(
             w > 0 for w in self.weights.values()
         ):
-            raise ValueError("weights must be >= 0 with at least one > 0")
+            raise InvalidProblemError("weights must be >= 0 with at least one > 0")
         if self.curvature <= 0:
-            raise ValueError("curvature must be positive")
+            raise InvalidProblemError("curvature must be positive")
         if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+            raise InvalidProblemError("noise must be >= 0")
 
     @classmethod
     def from_space(
@@ -340,7 +344,10 @@ class ExternalEvaluator:
         self.space = space
         self.b_max = b_max
         self.timeout = timeout
-        self._argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            self._argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:  # an unbalanced quote
+            raise InvalidProblemError(f"evaluator command: {exc}") from None
         self._proc: subprocess.Popen | None = self._spawn()
         self._lock = threading.Lock()
         self._counter = 0

@@ -173,9 +173,10 @@ def dynamic_weighting(
 
     Top means the best-by-primary ceil(n/eta) configurations, judged at each
     configuration's highest completed budget. Each configuration is encoded
-    once per history (:meth:`RunHistory.row`) and scored in log space,
-    relative to the largest log density, so the shares stay defined where
-    every plain density underflows to 0.0.
+    once per history (:meth:`RunHistory.row`); the top rows are scored
+    against each center in one :func:`~jahsband.configspace.log_densities`
+    call, in log space, relative to the largest log density, so the shares
+    stay defined where every plain density underflows to 0.0.
     Identical centers give exactly (0.5, 0.5).
     """
     if not history.max_budget_trials():
@@ -185,8 +186,10 @@ def dynamic_weighting(
     n_top = max(1, math.ceil(len(ranked) / history.ladder.eta))
     space = history.space
     rows = [history.row(cid) for cid, _ in ranked[:n_top]]
-    centers = [cs.normalize(space, c) for c in (prior_center, incumbent)]
-    logs = [[cs.log_density(space, row, c) for row in rows] for c in centers]
+    logs = [
+        cs.log_densities(space, rows, cs.normalize(space, c))
+        for c in (prior_center, incumbent)
+    ]
     peak = max(map(max, logs))
     score_prior, score_inc = (sum(math.exp(v - peak) for v in ls) for ls in logs)
     total = score_prior + score_inc
@@ -398,13 +401,20 @@ def serialize_config(config: Configuration) -> str:
 
 def write_history_csv(history: RunHistory, path: str | Path) -> None:
     """One row per trial, in execution order; identical histories produce
-    byte-identical files."""
+    byte-identical files. The serialized columns are computed once per
+    configuration object; the trials hold them all, so no id is reused."""
+    serialized: dict[int, tuple[str, str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HISTORY_COLUMNS)
         charged = 0
         for t in history.trials:
             charged += t.charged_epochs
+            config = t.configuration
+            if id(config) not in serialized:
+                serialized[id(config)] = (
+                    serialize_config(config), serialize_architecture(config)
+                )
             writer.writerow(
                 [
                     history.run_seed,
@@ -417,8 +427,7 @@ def write_history_csv(history: RunHistory, path: str | Path) -> None:
                     repr(t.cost.runtime_hours) if t.cost is not None else "",
                     charged,
                     t.status,
-                    serialize_config(t.configuration),
-                    serialize_architecture(t.configuration),
+                    *serialized[id(config)],
                 ]
             )
 
@@ -467,6 +476,8 @@ def read_history_csv(
                     cost = CostVector(
                         float(row["primary_cost"]), float(row["runtime_hours"])
                     )
+                    if not all(map(math.isfinite, cost.as_tuple())):
+                        raise ValueError(f"non-finite cost {cost.as_tuple()}")
                 elif status == "failed" and row["primary_cost"] == "":
                     cost = None
                 else:

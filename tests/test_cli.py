@@ -2,8 +2,9 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
 
-from jahsband import cli, grammar as hg, priorband
+from jahsband import analysis, cli, grammar as hg, priorband
 from jahsband.cli import main
 
 SPACES_DIR = Path(__file__).resolve().parents[1] / "spaces"
@@ -312,3 +313,95 @@ class TestReportCommand:
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "importance",
                        "--run", str(tmp_path / "nope")) == 2
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _nan_cost_run(tmp, run):
+    history = run / "seed_0" / "history.csv"
+    lines = history.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[6] = "nan"  # primary_cost of an ok trial
+    lines[1] = ",".join(fields)
+    history.write_text("\n".join(lines) + "\n")
+    return str(run)
+
+
+def _manifest_run(tmp, payload):
+    """A run whose manifest alone sets the seeds, the mode and the policy."""
+    manifest = _write(tmp / "manifest.json", json.dumps(payload))
+    return ["run", "--space", SPACE, "--eta", "3", "--min-budget", "3",
+            "--max-budget", "27", "--out", str(tmp / "o"), "--manifest", manifest]
+
+
+#: command lines (built from a scratch directory and a finished run) whose
+#: input reached a bare ValueError before the error catch was narrowed
+INPUT_ERRORS = {
+    "negative seed": lambda tmp, run: small_run_args(tmp / "o", seed="-1"),
+    "seed not a number": lambda tmp, run: small_run_args(tmp / "o", seed="x"),
+    "open seed range": lambda tmp, run: small_run_args(tmp / "o", seed="1.."),
+    "negative noise": lambda tmp, run: small_run_args(tmp / "o") + ["--noise", "-1"],
+    "zero curvature": lambda tmp, run: small_run_args(tmp / "o") + ["--curvature", "0"],
+    "negative problem seed":
+        lambda tmp, run: small_run_args(tmp / "o") + ["--problem-seed", "-1"],
+    "manifest seed": lambda tmp, run: _manifest_run(tmp, {"seeds": [-1]}),
+    "manifest mode": lambda tmp, run: _manifest_run(tmp, {"mode": "x"}),
+    "manifest policy": lambda tmp, run: _manifest_run(tmp, {"policy": "x"}),
+    "manifest not JSON": lambda tmp, run: small_run_args(tmp / "o")
+        + ["--manifest", _write(tmp / "m.json", "{not json")],
+    "space not JSON": lambda tmp, run: small_run_args(
+        tmp / "o", space=_write(tmp / "s.json", "{not json")),
+    "unbalanced external command": lambda tmp, run: small_run_args(tmp / "o")
+        + ["--problem", "external", "--external-cmd", "python 'x"],
+    "zero scale": lambda tmp, run: ["grammar", "count", "--stages", "3", "--scale", "0"],
+    "short block profile":
+        lambda tmp, run: ["grammar", "count", "--stages", "3", "--conv-blocks", "1"],
+    "zero block count":
+        lambda tmp, run: ["grammar", "count", "--stages", "3", "--conv-blocks", "0,1,1"],
+    "zero limit": lambda tmp, run: ["grammar", "enumerate", "--stages", "3", "--limit", "0"],
+    "negative grammar seed":
+        lambda tmp, run: ["grammar", "sample", "--stages", "3", "--seeds", "-1"],
+    "zero trees": lambda tmp, run: ["report", "importance", "--run", str(run), "--trees", "0"],
+    "negative forest seed":
+        lambda tmp, run: ["report", "importance", "--run", str(run), "--rf-seed", "-1"],
+    "non-finite cost": lambda tmp, run: ["report", "pareto", "--run", _nan_cost_run(tmp, run)],
+}
+
+
+class TestErrorExits:
+    @pytest.fixture(scope="class")
+    def finished_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("finished") / "run"
+        assert run_cli(*small_run_args(out)) == 0
+        return out
+
+    @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+    def test_input_error_exits_2(self, case, tmp_path, finished_run, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("manifest.resolved.json", "seed_0/history.csv"):
+            (run / name).parent.mkdir(exist_ok=True)
+            (run / name).write_bytes((finished_run / name).read_bytes())
+        assert run_cli(*INPUT_ERRORS[case](tmp_path, run)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_block_profile_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("grammar", "count", "--stages", "3", "--conv-blocks", "a")
+        assert info.value.code == 2
+        assert "--conv-blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module, name", [
+        (priorband, "select_top_k"),  # inside run()
+        (analysis, "write_history_csv"),  # inside the export
+    ])
+    def test_plain_value_error_propagates(self, module, name, tmp_path, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("a fault in the program")
+
+        monkeypatch.setattr(module, name, fault)
+        with pytest.raises(ValueError, match="a fault in the program"):
+            run_cli(*small_run_args(tmp_path / "out"))

@@ -4,12 +4,15 @@ it, pinned bit for bit."""
 import math
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jahsband import configspace as cs
 from jahsband import grammar as hg
 from jahsband.harness import SyntheticProblem
+
+import density_oracle
 
 SPACE_FILE = Path(__file__).resolve().parents[1] / "spaces" / "jahs_table3_4.json"
 
@@ -121,14 +124,17 @@ def _reference_arch(grammar, derivation):
 def spec_strategy(draw, index):
     kind = draw(st.sampled_from(cs._KINDS))
     name = f"x{index}"
+    conf = draw(st.sampled_from(sorted(cs.CONFIDENCE_SIGMA)))
     if kind in ("float", "log_float"):
         lo = draw(st.floats(1e-6, 100.0))
         hi = lo + draw(st.floats(1e-3, 1000.0))
-        return cs.ParameterSpec(name, kind, lo=lo, hi=hi, default=lo)
+        return cs.ParameterSpec(name, kind, lo=lo, hi=hi, default=lo,
+                                prior_confidence=conf)
     if kind == "integer":
         lo = draw(st.integers(-50, 50))
         hi = lo + draw(st.integers(1, 100))
-        return cs.ParameterSpec(name, kind, lo=lo, hi=hi, default=hi)
+        return cs.ParameterSpec(name, kind, lo=lo, hi=hi, default=hi,
+                                prior_confidence=conf)
     if kind == "ordinal":
         values = tuple(draw(st.lists(
             st.integers(-20, 20), min_size=1, max_size=6, unique=True
@@ -138,25 +144,28 @@ def spec_strategy(draw, index):
             st.text("abc", min_size=1, max_size=3), min_size=1, max_size=6,
             unique=True,
         )))
-    return cs.ParameterSpec(name, kind, values=values, default=values[0])
+    return cs.ParameterSpec(name, kind, values=values, default=values[0],
+                            prior_confidence=conf)
 
 
 @st.composite
 def space_strategy(draw):
     n = draw(st.integers(0, 6))
     specs = [draw(spec_strategy(i)) for i in range(n)]
-    stages = draw(st.one_of(st.none(), st.integers(2, 5)))
+    stages = draw(st.one_of(st.none(), st.integers(2, 6)))
     grammar = None
     if stages is not None or not specs:
-        grammar = hg.build_grammar(stages or 2, draw(st.integers(1, 2)))
+        grammar = hg.build_grammar(stages or 2, draw(st.integers(1, 3)))
     return cs.build_space(specs, grammar)
 
 
 @settings(max_examples=150, deadline=None)
 @given(space=space_strategy(), seed=st.integers(0, 2**32 - 1))
 def test_normalize_matches_reference(space, seed):
-    for strategy in ("uniform", "prior"):
-        config = cs.sample(space, strategy, seed)
+    rng = np.random.default_rng(seed)
+    center = cs.sample(space, "uniform", rng)
+    for strategy in ("uniform", "prior", ("around", center)):
+        config = cs.sample(space, strategy, rng)
         row = cs.normalize(space, config)
         want = [
             _reference_coordinate(spec, config[spec.name]) for spec in space
@@ -166,3 +175,45 @@ def test_normalize_matches_reference(space, seed):
         assert row == want
         assert all(type(v) is float for v in row)
         assert len(row) == len(cs.coordinate_names(space))
+
+
+# log densities against the frozen per-row code in density_oracle.py
+
+@st.composite
+def row_strategy(draw, space, center):
+    """A row whose numeric coordinates may lie outside [0, 1] and whose
+    categorical ones match the center's index or not."""
+    row = []
+    for spec, c in zip(space.parameters, center):
+        if spec.kind == "categorical":
+            row.append(float(draw(st.one_of(
+                st.just(c), st.integers(0, spec.n_choices - 1)
+            ))))
+        else:
+            row.append(draw(st.one_of(
+                st.sampled_from([0.0, 1.0, -1e-300, 1.0 + 2**-52]),
+                st.floats(-0.5, 1.5),
+            )))
+    return row
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    space=space_strategy(),
+    seed=st.integers(0, 2**32 - 1),
+    confidence=st.sampled_from([None, *sorted(cs.CONFIDENCE_SIGMA)]),
+    data=st.data(),
+)
+def test_log_densities_match_oracle_bits(space, seed, confidence, data):
+    rng = np.random.default_rng(seed)
+    configs = [cs.sample(space, s, rng) for s in ("uniform", "prior", "uniform")]
+    configs.append(cs.sample(space, ("around", configs[0]), rng))
+    rows = [cs.normalize(space, c) for c in configs]
+    for center in rows[:2]:
+        table = rows + [data.draw(row_strategy(space, center)) for _ in range(4)]
+        want = [density_oracle.log_density(space, r, center, confidence)
+                for r in table]
+        got = cs.log_densities(space, table, center, confidence)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        for row, value in zip(table, want):
+            assert cs.log_density(space, row, center, confidence).hex() == value.hex()

@@ -174,6 +174,41 @@ class TestSampling:
             g, "uniform", 42
         )
 
+    def test_invalid_prior_center_raises_on_every_call(self):
+        g = worked_example()
+        center = hg.default_derivation(g)
+        hg.sample_derivation(g, ("prior", center, "medium"), 0)
+        bad = (center[0], center[1], center[2][:-1])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a derivation"):
+                hg.sample_derivation(g, ("prior", bad, "medium"), 0)
+
+    def test_equal_center_draws_alike_per_grammar(self):
+        small, large = hg.build_grammar(3, 1), hg.build_grammar(3, 2)
+        center = next(
+            d for d in (hg.sample_derivation(large, "uniform", s) for s in range(100))
+            if not hg.validate_derivation(small, d)
+        )
+        twin = hg.parse(large, hg.serialize(center))
+        assert twin == center and twin is not center
+        for conf in ("low", "high"):
+            draws = [
+                [hg.sample_derivation(large, ("prior", c, conf), s) for s in range(10)]
+                for c in (center, twin)
+            ]
+            assert draws[0] == draws[1]
+        # kept for one grammar, the center is still checked against another
+        with pytest.raises(ValueError, match="not a derivation"):
+            hg.sample_derivation(small, ("prior", twin, "medium"), 0)
+
+    def test_default_derivation_equals_fresh_build(self):
+        for stages in range(2, 7):
+            for scale in range(1, 4):
+                g = hg.build_grammar(stages, scale)
+                kept = hg.default_derivation(g)
+                assert kept == hg.default_derivation.__wrapped__(g)
+                assert hg.default_derivation(g) is kept
+
 
 class TestSerializeParse:
     def test_two_stage_default_string(self):

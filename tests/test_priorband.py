@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import jahsband as jb
 from jahsband import configspace as cs
+from jahsband import grammar as hg
 from jahsband import priorband
 from jahsband.harness import EvaluationFailed, SyntheticProblem
 from jahsband.moo import CostVector
@@ -23,6 +25,7 @@ from jahsband.priorband import (
     incumbent_for_sampling,
     read_history_csv,
     sampler_weights,
+    serialize_config,
     write_history_csv,
 )
 from jahsband.scheduler import Trial, budget_ladder
@@ -155,6 +158,30 @@ class TestRunHistoryViews:
         assert history.row(3) is row
         add(cs.Configuration({"p0": 0.75}), 9)
         assert history.row(3) == (0.75,)
+
+    def test_csv_strings_follow_each_trials_configuration(self, tmp_path):
+        g = hg.build_grammar(3, 1)
+        space = cs.build_space(float_space(1).parameters, g)
+        first, second = (
+            cs.Configuration({"p0": p0}, hg.sample_derivation(g, "uniform", seed))
+            for p0, seed in ((0.25, 1), (0.75, 2))
+        )
+        assert hg.serialize(first.derivation) != hg.serialize(second.derivation)
+        # config_id 3 is added again with another configuration, then with
+        # the first one again
+        order = [first, first, second, first]
+        history = RunHistory(space, budget_ladder(1, 27, 3))
+        for budget, config in zip((1, 3, 9, 27), order):
+            history.add(Trial(3, config, 0, 0, budget, "random", 0,
+                              cost=CostVector(0.5, 1.0)))
+        path = tmp_path / "history.csv"
+        write_history_csv(history, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["serialized_config"], r["serialized_architecture"])
+                for r in rows] == [
+            (serialize_config(c), hg.serialize(c.derivation)) for c in order
+        ]
 
     def test_configurations_is_read_only(self):
         space = float_space(1)
