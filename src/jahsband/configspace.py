@@ -450,7 +450,9 @@ def log_density(
     center: Sequence[float],
     confidence: str | None = None,
 ) -> float:
-    """:func:`log_densities` of the one row ``row``."""
+    """:func:`log_densities` of the one row ``row``. Scoring many rows
+    against one center in one :func:`log_densities` call computes the
+    center's constants once; each density is the same float either way."""
     return log_densities(space, [row], center, confidence)[0]
 
 

@@ -186,10 +186,8 @@ def dynamic_weighting(
     n_top = max(1, math.ceil(len(ranked) / history.ladder.eta))
     space = history.space
     rows = [history.row(cid) for cid, _ in ranked[:n_top]]
-    logs = [
-        cs.log_densities(space, rows, cs.normalize(space, c))
-        for c in (prior_center, incumbent)
-    ]
+    centers = [cs.normalize(space, c) for c in (prior_center, incumbent)]
+    logs = [cs.log_densities(space, rows, c) for c in centers]
     peak = max(map(max, logs))
     score_prior, score_inc = (sum(math.exp(v - peak) for v in ls) for ls in logs)
     total = score_prior + score_inc

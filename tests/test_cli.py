@@ -337,8 +337,8 @@ def _manifest_run(tmp, payload):
             "--max-budget", "27", "--out", str(tmp / "o"), "--manifest", manifest]
 
 
-#: command lines (built from a scratch directory and a finished run) whose
-#: input reached a bare ValueError before the error catch was narrowed
+#: command lines (built from a scratch directory and a finished run) that
+#: exited 2 only through a bare ValueError catch before it was narrowed
 INPUT_ERRORS = {
     "negative seed": lambda tmp, run: small_run_args(tmp / "o", seed="-1"),
     "seed not a number": lambda tmp, run: small_run_args(tmp / "o", seed="x"),
