@@ -84,7 +84,7 @@ _RUN_DEFAULTS = {
 }
 
 
-_SEED_SPEC = re.compile(r"(\d+)(?:\.\.(\d+))?")
+_SEED_SPEC = re.compile(r"(\d+)(?:\s*\.\.\s*(\d+))?")
 
 
 def _parse_seed_spec(spec: str) -> list[int]:
