@@ -57,6 +57,7 @@ _RUN_CHOICES = {
     "problem": ("synthetic", "replay", "external"),
     "mode": ("priorband", "regularized"),
     "policy": ("standard-hb", "as-written"),
+    "optimum": ("random", "default"),
 }
 
 
@@ -128,6 +129,13 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
     if resolved["out"] is None:
         resolved["out"] = os.environ.get(OUTPUT_ROOT_ENV)
 
+    # each value has its default's type; bool is not an int, an int is a float
+    for key, default in _RUN_DEFAULTS.items():
+        want, got = type(default), type(resolved[key])
+        if default is not None and got is not want and (want, got) != (float, int):
+            raise ManifestError(
+                f"{key} must be of type {want.__name__}, got {resolved[key]!r}"
+            )
     if not resolved["space"]:
         raise ManifestError("no search space given (--space or manifest)")
     if not Path(resolved["space"]).exists():
@@ -356,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--importance", action="store_true",
                        help="also write importance.json per seed")
     p_run.add_argument("--noise", type=float)
-    p_run.add_argument("--optimum", choices=["random", "default"])
+    p_run.add_argument("--optimum", choices=_RUN_CHOICES["optimum"])
     p_run.add_argument("--problem-seed", type=int)
     p_run.add_argument("--curvature", type=float)
     p_run.add_argument("--hours-per-epoch", type=float)

@@ -67,14 +67,26 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _uniform(rng: np.random.Generator, a: float, b: float) -> float:
+    """``rng.uniform(a, b)`` bit for bit: numpy's ``a + (b - a) * next_double``
+    from the one double ``rng.random()`` takes, without the argument checks."""
+    return a + (b - a) * rng.random()
+
+
+@lru_cache(maxsize=4096)
+def _truncnorm_bounds(mu: float, sigma: float) -> tuple[float, float]:
+    return float(ndtr((0.0 - mu) / sigma)), float(ndtr((1.0 - mu) / sigma))
+
+
 def _truncnorm_sample(
     rng: np.random.Generator, mu: float, sigma: float
 ) -> float:
-    """One draw from a normal(mu, sigma) truncated to [0, 1], by inverse CDF."""
-    a = ndtr((0.0 - mu) / sigma)
-    b = ndtr((1.0 - mu) / sigma)
-    u = rng.uniform(a, b)
-    return float(mu + sigma * ndtri(u))
+    """One draw from a normal(mu, sigma) truncated to [0, 1], by inverse CDF.
+    The CDF bounds of [0, 1] depend on (mu, sigma) alone, so they are
+    computed once per pair; drawn between them by :func:`_uniform`, each
+    value and the stream are as ``rng.uniform`` between fresh bounds leaves
+    them."""
+    return float(mu + sigma * ndtri(_uniform(rng, *_truncnorm_bounds(mu, sigma))))
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,8 @@ class ParameterSpec:
                 raise SpaceError(f"{self.name}: numeric kinds need lo and hi")
             if not (self.lo < self.hi):
                 raise SpaceError(f"{self.name}: requires lo < hi")
+            if self.kind == FLOAT and not math.isfinite(self.hi - self.lo):
+                raise SpaceError(f"{self.name}: hi - lo must be finite")
             if self.kind == LOG_FLOAT and self.lo <= 0:
                 raise SpaceError(f"{self.name}: log scale requires lo > 0")
         else:
@@ -306,30 +320,27 @@ def draw_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
 
 def _sample_param_uniform(rng: np.random.Generator, spec: ParameterSpec) -> Any:
     if spec.kind == FLOAT:
-        return float(rng.uniform(spec.lo, spec.hi))
+        return _uniform(rng, float(spec.lo), float(spec.hi))
     if spec.kind == LOG_FLOAT:
-        return float(
-            math.exp(rng.uniform(math.log(spec.lo), math.log(spec.hi)))
-        )
+        return math.exp(_uniform(rng, math.log(spec.lo), math.log(spec.hi)))
     if spec.kind == INTEGER:
         return int(rng.integers(int(spec.lo), int(spec.hi) + 1))
     return spec.values[int(rng.integers(spec.n_choices))]
 
 
-def _sample_param_prior(
-    rng: np.random.Generator, spec: ParameterSpec, center: Any, confidence: str
-) -> Any:
+def _prior_draw(spec: ParameterSpec, center: Any, confidence: str) -> tuple:
+    """``(spec, boosted CDF, None)`` for a categorical, ``(spec, mu, sigma)``
+    for any other kind, around an in-domain ``center``."""
     if spec.kind == CATEGORICAL:
-        cdf = boosted_cdf(
-            spec.n_choices,
-            CONFIDENCE_MULTIPLIER[confidence],
-            spec.values.index(center),
-        )
-        return spec.values[draw_index(rng, cdf)]
-    sigma = CONFIDENCE_SIGMA[confidence]
-    mu = spec.to_unit(center)
-    coord = _truncnorm_sample(rng, mu, sigma)
-    return spec.from_unit(coord)
+        m = CONFIDENCE_MULTIPLIER[confidence]
+        return spec, boosted_cdf(spec.n_choices, m, spec.values.index(center)), None
+    return spec, spec._unit(center), CONFIDENCE_SIGMA[confidence]
+
+
+@lru_cache(maxsize=256)
+def _prior_draws(space: SearchSpace, confidence: str | None) -> tuple:
+    return tuple(_prior_draw(s, s.default, confidence or s.prior_confidence)
+                 for s in space.parameters)
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -351,6 +362,11 @@ def sample(
     ``confidence`` overrides it), or ``("around", center)`` for local sampling
     around an arbitrary configuration (confidence defaults to medium).
     Architecture derivations are drawn with the matching grammar mode.
+
+    What a prior draw needs per parameter (a categorical's boosted CDF, or
+    the unit default and sigma) is computed once per (space, confidence),
+    and per call around a center. The random calls and float operations stay
+    those of a draw that recomputes it, so the results are bit-identical.
     """
     rng = _as_rng(seed)
     assignments: dict[str, Any] = {}
@@ -358,22 +374,23 @@ def sample(
     if strategy == "uniform":
         for spec in space.parameters:
             assignments[spec.name] = _sample_param_uniform(rng, spec)
-    elif strategy == "prior":
-        for spec in space.parameters:
-            conf = confidence or spec.prior_confidence
-            assignments[spec.name] = _sample_param_prior(
-                rng, spec, spec.default, conf
-            )
-    elif isinstance(strategy, tuple) and strategy[0] == "around":
-        center = strategy[1]
-        space.validate(center)
-        conf_default = confidence or "medium"
-        for spec in space.parameters:
-            assignments[spec.name] = _sample_param_prior(
-                rng, spec, center.assignments[spec.name], conf_default
-            )
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy == "prior":
+            draws = _prior_draws(space, confidence)
+        elif isinstance(strategy, tuple) and strategy[0] == "around":
+            center = strategy[1]
+            space.validate(center)
+            draws = [
+                _prior_draw(spec, center.assignments[spec.name], confidence or "medium")
+                for spec in space.parameters
+            ]
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        for spec, mu, sigma in draws:
+            if sigma is None:
+                assignments[spec.name] = spec.values[draw_index(rng, mu)]
+            else:
+                assignments[spec.name] = spec.from_unit(_truncnorm_sample(rng, mu, sigma))
 
     derivation = None
     if space.grammar is not None:
@@ -496,6 +513,9 @@ def spec_from_dict(obj: dict[str, Any]) -> ParameterSpec:
     kind = _KIND_ALIASES.get(str(obj.get("kind", "")).lower())
     if kind is None:
         raise SpaceError(f"unknown kind in {obj!r}")
+    for key in ("name", "default"):
+        if key not in obj:
+            raise SpaceError(f"parameter {obj!r} has no {key!r}")
     values = obj.get("values")
     return ParameterSpec(
         name=obj["name"],

@@ -110,6 +110,14 @@ class Grammar:
     def is_nonterminal(self, symbol: str) -> bool:
         return symbol in self.productions
 
+    @cached_property
+    def expansions(self) -> dict[str, tuple[tuple[tuple[str, ...], tuple], ...]]:
+        """Per rule, per alternative: the alternative and its nonterminal
+        slots as ``(position, symbol)`` pairs, in order."""
+        return {lhs: tuple((alt, tuple((i, s) for i, s in enumerate(alt)
+                                       if s in self.productions)) for alt in alts)
+                for lhs, alts in self.productions.items()}
+
     @property
     def n_stages_min(self) -> int:
         assert self.n_stages_max is not None
@@ -267,16 +275,15 @@ def _expand_all(grammar: Grammar, sym: str, memo: dict) -> list[Derivation]:
     if sym in memo:
         return memo[sym]
     out: list[Derivation] = []
-    for ai, alt in enumerate(grammar.productions[sym]):
-        slots = [i for i, s in enumerate(alt) if grammar.is_nonterminal(s)]
+    for ai, (alt, slots) in enumerate(grammar.expansions[sym]):
         if not slots:
-            out.append((sym, ai, tuple(alt)))
+            out.append((sym, ai, alt))
             continue
-        sublists = [_expand_all(grammar, alt[i], memo) for i in slots]
+        sublists = [_expand_all(grammar, nt, memo) for _, nt in slots]
         template = list(alt)
         for combo in itertools.product(*sublists):
             t = list(template)
-            for pos, node in zip(slots, combo):
+            for (pos, _), node in zip(slots, combo):
                 t[pos] = node
             out.append((sym, ai, tuple(t)))
     memo[sym] = out
@@ -299,16 +306,15 @@ def enumerate_derivations(
     def _iter_start() -> Iterator[Derivation]:
         memo: dict[str, list[Derivation]] = {}
         start = grammar.start
-        for ai, alt in enumerate(grammar.productions[start]):
-            slots = [i for i, s in enumerate(alt) if grammar.is_nonterminal(s)]
+        for ai, (alt, slots) in enumerate(grammar.expansions[start]):
             if not slots:
-                yield (start, ai, tuple(alt))
+                yield (start, ai, alt)
                 continue
-            sublists = [_expand_all(grammar, alt[i], memo) for i in slots]
+            sublists = [_expand_all(grammar, nt, memo) for _, nt in slots]
             t = list(alt)
             if len(slots) == 2:
                 # hot path: the start rule of U-Net grammars
-                i0, i1 = slots
+                (i0, _), (i1, _) = slots
                 first, second = sublists
                 for a_node in first:
                     t[i0] = a_node
@@ -317,7 +323,7 @@ def enumerate_derivations(
                         yield (start, ai, tuple(t))
             else:
                 for combo in itertools.product(*sublists):
-                    for pos, node in zip(slots, combo):
+                    for (pos, _), node in zip(slots, combo):
                         t[pos] = node
                     yield (start, ai, tuple(t))
 
@@ -328,13 +334,19 @@ def enumerate_derivations(
 # sampling
 
 def _build(grammar: Grammar, sym: str, choose: Callable[[str], int]) -> Derivation:
+    """The derivation of ``sym`` whose alternatives ``choose`` picks, depth
+    first and left to right. Only the nonterminal slots that
+    :attr:`Grammar.expansions` lists once per grammar are filled, and an
+    all-terminal alternative is its own children tuple; ``choose`` is called
+    in the same order as before, so random draws stay bit-identical."""
     ai = choose(sym)
-    alt = grammar.productions[sym][ai]
-    children = tuple(
-        _build(grammar, s, choose) if grammar.is_nonterminal(s) else s
-        for s in alt
-    )
-    return (sym, ai, children)
+    alt, slots = grammar.expansions[sym][ai]
+    if not slots:
+        return (sym, ai, alt)
+    children = list(alt)
+    for i, nt in slots:
+        children[i] = _build(grammar, nt, choose)
+    return (sym, ai, tuple(children))
 
 
 @lru_cache(maxsize=64)
@@ -376,16 +388,30 @@ _ENCODER_RULE = re.compile(r"^\d+E$")
 
 
 @lru_cache(maxsize=256)
-def _prior_plan(grammar: Grammar, center: Derivation) -> tuple[dict[str, int], int]:
-    """A prior center's alternative per rule (shared: read only) and its
-    encoder alternative, kept per (grammar, center). An invalid center
-    raises, so it is never kept."""
+def _prior_plan(grammar: Grammar, center: Derivation, confidence: str) -> dict:
+    """Per rule, how a prior draw around ``center`` picks its alternative:
+    None (the only one), ``(mu, cap)`` (a block count's truncated normal) or
+    ``(cdf, None)`` (boosted toward the center's choice). Kept per (grammar,
+    center, confidence); an invalid center raises, so it is never kept."""
     if not validate_derivation(grammar, center):
         raise GrammarError("prior center is not a derivation of this grammar")
     defaults = _choice_map(center)
-    return defaults, next(
+    encoder_alt = next(
         (ai for lhs, ai in defaults.items() if _ENCODER_RULE.match(lhs)), 0
     )
+    m = CONFIDENCE_MULTIPLIER[confidence]
+    plan: dict[str, tuple | None] = {}
+    for nt, alts in grammar.productions.items():
+        if len(alts) == 1:
+            plan[nt] = None
+        elif nt in grammar.block_info:
+            cap, profile_center = grammar.block_info[nt]
+            center_count = defaults[nt] + 1 if nt in defaults else profile_center
+            plan[nt] = ((center_count - 1) / (cap - 1), cap)
+        else:
+            default_alt = encoder_alt if _ENCODER_RULE.match(nt) else defaults.get(nt, 0)
+            plan[nt] = (boosted_cdf(len(alts), m, default_alt), None)
+    return plan
 
 
 def sample_derivation(
@@ -412,26 +438,19 @@ def sample_derivation(
     if not (isinstance(mode, tuple) and mode[0] == "prior"):
         raise GrammarError(f"unknown mode {mode!r}")
     _, center, confidence = mode
-    defaults, encoder_alt = _prior_plan(grammar, center)
+    plan = _prior_plan(grammar, center, confidence)
     sigma = CONFIDENCE_SIGMA[confidence]
-    m = CONFIDENCE_MULTIPLIER[confidence]
 
     def choose(nt: str) -> int:
-        n_alts = len(prods[nt])
-        if n_alts == 1:
+        rule = plan[nt]
+        if rule is None:
             return 0
-        if nt in grammar.block_info:
-            cap, profile_center = grammar.block_info[nt]
-            center_count = defaults[nt] + 1 if nt in defaults else profile_center
-            mu = (center_count - 1) / (cap - 1)
-            coord = _truncnorm_sample(rng, mu, sigma)
-            idx = _round_half_up(coord * (cap - 1))
-            return min(max(idx, 0), cap - 1)
-        if _ENCODER_RULE.match(nt):
-            default_alt = encoder_alt
-        else:
-            default_alt = defaults.get(nt, 0)
-        return draw_index(rng, boosted_cdf(n_alts, m, default_alt))
+        mu, cap = rule
+        if cap is None:
+            return draw_index(rng, mu)
+        coord = _truncnorm_sample(rng, mu, sigma)
+        idx = _round_half_up(coord * (cap - 1))
+        return min(max(idx, 0), cap - 1)
 
     return _build(grammar, grammar.start, choose)
 

@@ -20,6 +20,7 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -114,14 +115,21 @@ def serialize_architecture(config: Configuration) -> str:
 DEFAULT_SIZE_PARAMETER_NAMES = ("Model Scale", "Base #Features", "Max. #Features")
 
 
+def _unit_scales(space: SearchSpace) -> list[int]:
+    """What :func:`unit_coordinates` divides each parameter's ``normalize``
+    entry by: K - 1 for a categorical with K > 1 choices, else 1, which
+    changes no float."""
+    return [s.n_choices - 1 if s.kind == CATEGORICAL and s.n_choices > 1 else 1
+            for s in space.parameters]
+
+
 def unit_coordinates(space: SearchSpace, config: Configuration) -> dict[str, float]:
     """The :func:`~jahsband.configspace.normalize` row by coordinate name,
     with categorical indices rescaled by 1/(K-1) so every coordinate lies in
     [0, 1]."""
     row = normalize(space, config)
-    for i, spec in enumerate(space.parameters):
-        if spec.kind == CATEGORICAL and spec.n_choices > 1:
-            row[i] /= spec.n_choices - 1
+    for i, scale in enumerate(_unit_scales(space)):
+        row[i] /= scale
     return dict(zip(coordinate_names(space), row))
 
 
@@ -205,6 +213,18 @@ class SyntheticProblem:
             noise=noise,
         )
 
+    @cached_property
+    def _terms(self) -> tuple[tuple, tuple]:
+        """(index, scale, weight, optimum) per weight, in ``weights`` order,
+        and (index, scale) per size parameter, where the
+        :func:`unit_coordinates` entry is ``normalize`` row[index] / scale."""
+        scales = _unit_scales(self.space) + [1, 1]  # and the architecture's
+        where = dict(zip(coordinate_names(self.space), enumerate(scales)))
+        return (
+            tuple((*where[n], w, self.optimum.get(n, 0.0)) for n, w in self.weights.items()),
+            tuple(where[n] for n in self.size_parameters),
+        )
+
     def fingerprint(self) -> str:
         """sha256 of :meth:`to_dict`; it seeds the noise streams."""
         payload = json.dumps(self.to_dict(), sort_keys=True)
@@ -219,11 +239,12 @@ class SyntheticProblem:
     ) -> CostVector:
         if not 1 <= budget <= self.b_max:
             raise BudgetOutOfRangeError(f"budget {budget} not in [1, {self.b_max}]")
-        coords = unit_coordinates(self.space, config)
+        row = normalize(self.space, config)
+        quality_terms, size_terms = self._terms
         quality = math.exp(
             -sum(
-                w * (coords[name] - self.optimum.get(name, 0.0)) ** 2
-                for name, w in self.weights.items()
+                w * (row[i] / scale - opt) ** 2
+                for i, scale, w, opt in quality_terms
             )
         )
         curve = (1.0 - math.exp(-self.curvature * budget / self.b_max)) / (
@@ -241,8 +262,8 @@ class SyntheticProblem:
                 0.0, self.noise * math.sqrt(self.b_max / budget)
             )
         runtime = budget * self.hours_per_epoch
-        for name in self.size_parameters:
-            runtime *= 1.0 + coords[name]
+        for i, scale in size_terms:
+            runtime *= 1.0 + row[i] / scale
         return CostVector(
             primary=float(min(max(primary, 0.0), 1.0)),
             runtime_hours=float(runtime),

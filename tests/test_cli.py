@@ -370,6 +370,17 @@ INPUT_ERRORS = {
     "non-finite cost": lambda tmp, run: ["report", "pareto", "--run", _nan_cost_run(tmp, run)],
 }
 
+#: manifest values of the wrong type, each once an exit 1 or a silent run
+WRONG_TYPES = [
+    ({"eta": "x"}, "eta"),
+    ({"noise": "a"}, "noise"),
+    ({"optimum": "x"}, "optimum"),
+    ({"continuation": "no"}, "continuation"),
+    ({"workers": True}, "workers"),
+    ({"min_budget": 3.0}, "min_budget"),
+    ({"seeds": 5}, "seeds"),
+]
+
 
 class TestErrorExits:
     @pytest.fixture(scope="class")
@@ -387,6 +398,33 @@ class TestErrorExits:
             (run / name).write_bytes((finished_run / name).read_bytes())
         assert run_cli(*INPUT_ERRORS[case](tmp_path, run)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @staticmethod
+    def _manifest_only_run(tmp, payload):
+        """A run whose manifest alone sets everything but the space and the
+        output root."""
+        manifest = {"seeds": [0], "eta": 3, "min_budget": 3, "max_budget": 27}
+        path = _write(tmp / "manifest.json", json.dumps({**manifest, **payload}))
+        return ["run", "--space", SPACE, "--out", str(tmp / "o"), "--manifest", path]
+
+    @pytest.mark.parametrize("payload, key", WRONG_TYPES)
+    def test_manifest_value_of_wrong_type_exits_2(self, payload, key, tmp_path, capsys):
+        assert run_cli(*self._manifest_only_run(tmp_path, payload)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_int_for_float_runs(self, tmp_path):
+        payload = {"noise": 0, "curvature": 3, "external_timeout": 5}
+        assert run_cli(*self._manifest_only_run(tmp_path, payload)) == 0
+
+    @pytest.mark.parametrize("key", ["name", "default"])
+    def test_space_entry_without_key_exits_2(self, key, tmp_path, capsys):
+        entry = {"name": "a", "kind": "float", "lo": 0, "hi": 1, "default": 0.5}
+        del entry[key]
+        space = _write(tmp_path / "space.json", json.dumps({"parameters": [entry]}))
+        assert run_cli(*small_run_args(tmp_path / "o", space=space)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter ") and f"no {key!r}" in err
 
     def test_malformed_block_profile_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

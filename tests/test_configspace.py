@@ -54,6 +54,11 @@ class TestBuildSpace:
         with pytest.raises(cs.DuplicateNameError):
             cs.build_space([spec, spec])
 
+    def test_float_range_must_be_finite(self):
+        # rng.uniform refuses a range beyond the largest double
+        with pytest.raises(cs.SpaceError, match="finite"):
+            cs.ParameterSpec("x", "float", lo=-1e308, hi=1e308, default=0.0)
+
     def test_log_float_needs_positive_lo(self):
         with pytest.raises(cs.SpaceError):
             cs.ParameterSpec("x", "log_float", lo=0.0, hi=1.0, default=0.5)

@@ -13,6 +13,7 @@ from jahsband import grammar as hg
 from jahsband.harness import SyntheticProblem
 
 import density_oracle
+import sampling_oracle
 
 SPACE_FILE = Path(__file__).resolve().parents[1] / "spaces" / "jahs_table3_4.json"
 
@@ -217,3 +218,119 @@ def test_log_densities_match_oracle_bits(space, seed, confidence, data):
         assert [v.hex() for v in got] == [v.hex() for v in want]
         for row, value in zip(table, want):
             assert cs.log_density(space, row, center, confidence).hex() == value.hex()
+
+
+# sampling and evaluation against the frozen code in sampling_oracle.py
+
+CONFIDENCES = st.sampled_from([None, *sorted(cs.CONFIDENCE_SIGMA)])
+
+
+def assert_same_configuration(got, want):
+    assert list(got.assignments) == list(want.assignments)
+    for name, value in want.assignments.items():
+        assert type(got[name]) is type(value)
+        if type(value) is float:
+            assert got[name].hex() == value.hex()
+        else:
+            assert got[name] == value
+    assert got.derivation == want.derivation
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=space_strategy(), seed=st.integers(0, 2**32 - 1),
+       confidence=CONFIDENCES)
+def test_sample_matches_oracle(space, seed, confidence):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    center = cs.sample(space, "uniform", rng)
+    assert_same_configuration(center, sampling_oracle.sample(space, "uniform", ref))
+    for strategy in ("uniform", "prior", ("around", center)):
+        for _ in range(2):
+            got = cs.sample(space, strategy, rng, confidence)
+            want = sampling_oracle.sample(space, strategy, ref, confidence)
+            assert_same_configuration(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stages=st.integers(2, 6),
+       scale=st.integers(1, 3), confidence=st.sampled_from(sorted(cs.CONFIDENCE_SIGMA)))
+def test_sample_derivation_matches_oracle(seed, stages, scale, confidence):
+    grammar = hg.build_grammar(stages, scale)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        center = hg.sample_derivation(grammar, "uniform", rng)
+        assert center == sampling_oracle.sample_derivation(grammar, "uniform", ref)
+        mode = ("prior", center, confidence)
+        got = hg.sample_derivation(grammar, mode, rng)
+        assert got == sampling_oracle.sample_derivation(grammar, mode, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+_UNIT_ENDS = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+       ends=st.one_of(
+           st.tuples(_UNIT_ENDS, _UNIT_ENDS),
+           st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+       ))
+def test_uniform_draw_is_numpy_uniform(seed, data, ends):
+    a, b = sorted(ends)
+    if data.draw(st.booleans()):
+        b = a
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        got, want = cs._uniform(rng, a, b), ref.uniform(a, b)
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       mu=_UNIT_ENDS | st.floats(-0.5, 1.5),
+       sigma=st.sampled_from(sorted(cs.CONFIDENCE_SIGMA.values())))
+def test_truncnorm_sample_matches_oracle(seed, mu, sigma):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        got = cs._truncnorm_sample(rng, mu, sigma)
+        assert got.hex() == sampling_oracle._truncnorm_sample(ref, mu, sigma).hex()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@st.composite
+def problem_strategy(draw):
+    """A noisy problem over a space with at least one categorical, weighted
+    in a shuffled coordinate order with an optimum on only some coordinates."""
+    space = draw(space_strategy())
+    values = tuple(draw(st.lists(st.text("xyz", min_size=1, max_size=2),
+                                 min_size=1, max_size=5, unique=True)))
+    extra = cs.ParameterSpec("cat", "categorical", values=values, default=values[-1])
+    space = cs.build_space([*space.parameters, extra], space.grammar)
+    names = cs.coordinate_names(space)
+    order = draw(st.permutations(names))
+    weights = {n: draw(st.floats(0.0, 4.0)) for n in order}
+    weights[order[0]] = draw(st.floats(0.1, 4.0))
+    optimum = {n: draw(st.floats(0.0, 1.0))
+               for n in draw(st.lists(st.sampled_from(names), unique=True))}
+    sizes = tuple(draw(st.lists(st.sampled_from(names), unique=True, max_size=4)))
+    return SyntheticProblem(
+        space, optimum, weights, b_max=draw(st.integers(1, 243)),
+        size_parameters=sizes, noise=draw(st.floats(1e-4, 0.1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=problem_strategy(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_synthetic_evaluate_matches_oracle(problem, seed, data):
+    rng = np.random.default_rng(seed)
+    for strategy in ("uniform", "prior", "uniform"):
+        config = cs.sample(problem.space, strategy, rng)
+        for problem_ in (problem, problem.without_noise()):
+            budget = data.draw(st.integers(1, problem.b_max))
+            got = problem_.evaluate(config, budget, seed=seed)
+            want = sampling_oracle.evaluate(problem_, config, budget, seed=seed)
+            assert (got.primary.hex(), got.runtime_hours.hex()) == (
+                want.primary.hex(), want.runtime_hours.hex())
