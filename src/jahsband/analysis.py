@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configspace import CATEGORICAL, Configuration, coordinate_names
-from .grammar import serialize as serialize_derivation
+from .configspace import CATEGORICAL, Configuration, coordinate_names, normalize
 from .priorband import RunHistory, RunResult, write_history_csv
 
 
@@ -397,7 +396,8 @@ def _history_matrix(
         for i, s in enumerate(space.parameters)
         if s.kind == CATEGORICAL
     }
-    rows = [history.row(cid) for cid, _ in entries]
+    configs = history.configurations()
+    rows = [normalize(space, configs[cid]) for cid, _ in entries]
     ys = [cost.primary for _, cost in entries]
     X = np.array(rows, dtype=float)
     y = np.array(ys, dtype=float)
@@ -531,9 +531,7 @@ def _pareto_payload(result: RunResult) -> dict:
         points.append(
             {
                 "config": config.assignments,
-                "architecture": serialize_derivation(config.derivation)
-                if config.derivation is not None
-                else None,
+                "architecture": config.serialized_architecture or None,
                 "primary": cost.primary,
                 "runtime_hours": cost.runtime_hours,
             }

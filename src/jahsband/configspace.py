@@ -14,7 +14,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
 
@@ -195,13 +195,36 @@ class ParameterSpec:
 @dataclass(frozen=True)
 class Configuration:
     """One point in a search space: a value per parameter, plus an optional
-    architecture derivation when the space carries a grammar."""
+    architecture derivation when the space carries a grammar.
+
+    What is derived from it (its :func:`normalize` row per space and its
+    serialized strings) is computed on first use and kept on the object, so
+    its assignments must not change once it has been encoded or serialized.
+    """
 
     assignments: dict[str, Any]
     derivation: tuple | None = None
 
     def __getitem__(self, name: str) -> Any:
         return self.assignments[name]
+
+    @cached_property
+    def serialized_config(self) -> str:
+        """The parameter assignments as sorted JSON."""
+        return json.dumps(self.assignments, sort_keys=True)
+
+    @cached_property
+    def serialized_architecture(self) -> str:
+        """The serialized derivation; "" without one."""
+        if self.derivation is None:
+            return ""
+        from . import grammar as hg
+
+        return hg.serialize(self.derivation)
+
+    @cached_property
+    def _rows(self) -> dict[SearchSpace, tuple[float, ...]]:
+        return {}
 
 
 class SearchSpace:
@@ -280,12 +303,16 @@ def normalize(space: SearchSpace, config: Configuration) -> list[float]:
     """The one encoder: a configuration's coordinates, one per parameter in
     order, then ``Grammar.unit_features`` when the space has a grammar.
     Categorical entries hold the raw category index; everything else lies in
-    [0, 1]. The configuration is validated once, here."""
-    space.validate(config)
-    row = [s._unit(config.assignments[s.name]) for s in space.parameters]
-    if space.grammar is not None:
-        row += space.grammar.unit_features(config.derivation)
-    return row
+    [0, 1]. The configuration is validated and encoded once per space, here;
+    each call returns a fresh list, which the caller may change."""
+    row = config._rows.get(space)
+    if row is None:
+        space.validate(config)
+        row = [s._unit(config.assignments[s.name]) for s in space.parameters]
+        if space.grammar is not None:
+            row += space.grammar.unit_features(config.derivation)
+        row = config._rows[space] = tuple(row)
+    return list(row)
 
 
 # sampling strategies
@@ -461,28 +488,16 @@ def log_densities(
     return densities
 
 
-def log_density(
-    space: SearchSpace,
-    row: Sequence[float],
-    center: Sequence[float],
-    confidence: str | None = None,
-) -> float:
-    """:func:`log_densities` of the one row ``row``. Scoring many rows
-    against one center in one :func:`log_densities` call computes the
-    center's constants once; each density is the same float either way."""
-    return log_densities(space, [row], center, confidence)[0]
-
-
 def log_prior_pdf(
     space: SearchSpace,
     config: Configuration,
     center: Configuration,
     confidence: str | None = None,
 ) -> float:
-    """:func:`log_density` of ``config`` around ``center``."""
-    return log_density(
-        space, normalize(space, config), normalize(space, center), confidence
-    )
+    """:func:`log_densities` of ``config`` around ``center``."""
+    return log_densities(
+        space, [normalize(space, config)], normalize(space, center), confidence
+    )[0]
 
 
 def prior_pdf(

@@ -33,7 +33,6 @@ from .configspace import (
     coordinate_names,
     normalize,
 )
-from .grammar import serialize
 from .moo import CostVector
 
 if TYPE_CHECKING:
@@ -100,37 +99,14 @@ def config_key(config: Configuration) -> str:
     """Canonical string key of a configuration (parameters plus serialized
     architecture); it seeds the synthetic problem's noise, so its bytes are
     part of every noisy run's output."""
-    arch = serialize_architecture(config) or None
+    arch = config.serialized_architecture or None
     return json.dumps(
         {"params": config.assignments, "arch": arch}, sort_keys=True
     )
 
 
-def serialize_architecture(config: Configuration) -> str:
-    """The serialized architecture; "" without a derivation."""
-    return serialize(config.derivation) if config.derivation is not None else ""
-
-
 #: parameter names treated as capacity knobs that scale runtime
 DEFAULT_SIZE_PARAMETER_NAMES = ("Model Scale", "Base #Features", "Max. #Features")
-
-
-def _unit_scales(space: SearchSpace) -> list[int]:
-    """What :func:`unit_coordinates` divides each parameter's ``normalize``
-    entry by: K - 1 for a categorical with K > 1 choices, else 1, which
-    changes no float."""
-    return [s.n_choices - 1 if s.kind == CATEGORICAL and s.n_choices > 1 else 1
-            for s in space.parameters]
-
-
-def unit_coordinates(space: SearchSpace, config: Configuration) -> dict[str, float]:
-    """The :func:`~jahsband.configspace.normalize` row by coordinate name,
-    with categorical indices rescaled by 1/(K-1) so every coordinate lies in
-    [0, 1]."""
-    row = normalize(space, config)
-    for i, scale in enumerate(_unit_scales(space)):
-        row[i] /= scale
-    return dict(zip(coordinate_names(space), row))
 
 
 @dataclass(frozen=True)
@@ -156,7 +132,7 @@ class SyntheticProblem:
 
     def __post_init__(self) -> None:
         names = set(coordinate_names(self.space))
-        for source in (self.optimum, self.weights):
+        for source in (self.optimum, self.weights, self.size_parameters):
             unknown = set(source) - names
             if unknown:
                 raise InvalidProblemError(f"unknown coordinate names: {sorted(unknown)}")
@@ -193,7 +169,8 @@ class SyntheticProblem:
             rng = np.random.default_rng(problem_seed)
             optimum = {n: float(rng.uniform()) for n in names}
         elif optimum == "default":
-            optimum = unit_coordinates(space, space.default_configuration())
+            row = normalize(space, space.default_configuration())
+            optimum = {n: row[i] / scale for n, (i, scale) in cls._coordinates(space).items()}
         if weights is None:
             weights = {n: 1.0 for n in names}
         if size_parameters is None:
@@ -213,13 +190,21 @@ class SyntheticProblem:
             noise=noise,
         )
 
+    @staticmethod
+    def _coordinates(space: SearchSpace) -> dict[str, tuple[int, int]]:
+        """Coordinate name -> (index, scale): u_i is the ``normalize`` row's
+        entry at index divided by scale, K - 1 for a categorical with K > 1
+        choices so that every u_i lies in [0, 1], and otherwise 1, which
+        changes no float."""
+        scales = [s.n_choices - 1 if s.kind == CATEGORICAL and s.n_choices > 1 else 1
+                  for s in space.parameters] + [1, 1]  # and the architecture's
+        return dict(zip(coordinate_names(space), enumerate(scales)))
+
     @cached_property
     def _terms(self) -> tuple[tuple, tuple]:
         """(index, scale, weight, optimum) per weight, in ``weights`` order,
-        and (index, scale) per size parameter, where the
-        :func:`unit_coordinates` entry is ``normalize`` row[index] / scale."""
-        scales = _unit_scales(self.space) + [1, 1]  # and the architecture's
-        where = dict(zip(coordinate_names(self.space), enumerate(scales)))
+        and (index, scale) per size parameter, from :meth:`_coordinates`."""
+        where = self._coordinates(self.space)
         return (
             tuple((*where[n], w, self.optimum.get(n, 0.0)) for n, w in self.weights.items()),
             tuple(where[n] for n in self.size_parameters),
@@ -241,12 +226,11 @@ class SyntheticProblem:
             raise BudgetOutOfRangeError(f"budget {budget} not in [1, {self.b_max}]")
         row = normalize(self.space, config)
         quality_terms, size_terms = self._terms
-        quality = math.exp(
-            -sum(
-                w * (row[i] / scale - opt) ** 2
-                for i, scale, w, opt in quality_terms
-            )
-        )
+        # left to right, as builtin sum adds floats before Python 3.12
+        exponent = 0.0
+        for i, scale, w, opt in quality_terms:
+            exponent += w * (row[i] / scale - opt) ** 2
+        quality = math.exp(-exponent)
         curve = (1.0 - math.exp(-self.curvature * budget / self.b_max)) / (
             1.0 - math.exp(-self.curvature)
         )
@@ -402,7 +386,7 @@ class ExternalEvaluator:
             request = {
                 "id": request_id,
                 "config": config.assignments,
-                "architecture": serialize_architecture(config) or None,
+                "architecture": config.serialized_architecture or None,
                 "budget": budget,
                 "previous_budget": previous_budget,
                 "seed": seed,

@@ -25,7 +25,7 @@ import numpy as np
 from . import configspace as cs
 from .configspace import Configuration, SearchSpace
 from .grammar import Derivation, parse
-from .harness import EvaluationFailed, MalformedRowError, serialize_architecture
+from .harness import EvaluationFailed, MalformedRowError
 from .moo import CostVector, area_incumbent, non_dominated_sort, select_top_k
 from .scheduler import BudgetLadder, Trial, bracket_plan
 
@@ -70,8 +70,6 @@ class RunHistory:
         self.run_seed = run_seed
         self.trials: list[Trial] = []
         self._configs: dict[int, Configuration] = {}
-        # config_id -> encoded row of self._configs[config_id]
-        self._rows: dict[int, tuple[float, ...]] = {}
         # per config_id, its completed trial at the highest budget
         self._best: dict[int, Trial] = {}
         # first front over self._best; None once a best trial has changed
@@ -83,9 +81,7 @@ class RunHistory:
 
     def add(self, trial: Trial) -> None:
         self.trials.append(trial)
-        if self._configs.get(trial.config_id) is not trial.configuration:
-            self._configs[trial.config_id] = trial.configuration
-            self._rows.pop(trial.config_id, None)
+        self._configs[trial.config_id] = trial.configuration
         if trial.status != "ok" or trial.cost is None:
             return
         best = self._best.get(trial.config_id)
@@ -99,17 +95,6 @@ class RunHistory:
     def configurations(self) -> Mapping[int, Configuration]:
         """Read-only config_id -> configuration (the latest trial's)."""
         return MappingProxyType(self._configs)
-
-    def row(self, config_id: int) -> tuple[float, ...]:
-        """The :func:`configspace.normalize` row of a configuration, encoded
-        on first use and kept until its config_id is added again with
-        another configuration."""
-        row = self._rows.get(config_id)
-        if row is None:
-            row = self._rows[config_id] = tuple(
-                cs.normalize(self.space, self._configs[config_id])
-            )
-        return row
 
     def costs_at_highest_budget(self) -> list[tuple[int, CostVector]]:
         """Per configuration: its cost at the highest budget it completed,
@@ -172,8 +157,7 @@ def dynamic_weighting(
     the current top configurations under each center's distribution.
 
     Top means the best-by-primary ceil(n/eta) configurations, judged at each
-    configuration's highest completed budget. Each configuration is encoded
-    once per history (:meth:`RunHistory.row`); the top rows are scored
+    configuration's highest completed budget. The top rows are scored
     against each center in one :func:`~jahsband.configspace.log_densities`
     call, in log space, relative to the largest log density, so the shares
     stay defined where every plain density underflows to 0.0.
@@ -184,12 +168,16 @@ def dynamic_weighting(
     entries = history.costs_at_highest_budget()
     ranked = sorted(entries, key=lambda e: (e[1].primary, e[1].runtime_hours, e[0]))
     n_top = max(1, math.ceil(len(ranked) / history.ladder.eta))
-    space = history.space
-    rows = [history.row(cid) for cid, _ in ranked[:n_top]]
+    space, configs = history.space, history.configurations()
+    rows = [cs.normalize(space, configs[cid]) for cid, _ in ranked[:n_top]]
     centers = [cs.normalize(space, c) for c in (prior_center, incumbent)]
     logs = [cs.log_densities(space, rows, c) for c in centers]
     peak = max(map(max, logs))
-    score_prior, score_inc = (sum(math.exp(v - peak) for v in ls) for ls in logs)
+    # left to right, as builtin sum adds floats before Python 3.12
+    score_prior = score_inc = 0.0
+    for v_prior, v_inc in zip(*logs):
+        score_prior += math.exp(v_prior - peak)
+        score_inc += math.exp(v_inc - peak)
     total = score_prior + score_inc
     return score_prior / total, score_inc / total
 
@@ -392,27 +380,15 @@ HISTORY_COLUMNS = [
 ]
 
 
-def serialize_config(config: Configuration) -> str:
-    """The serialized_config column: parameter assignments as sorted JSON."""
-    return json.dumps(config.assignments, sort_keys=True)
-
-
 def write_history_csv(history: RunHistory, path: str | Path) -> None:
     """One row per trial, in execution order; identical histories produce
-    byte-identical files. The serialized columns are computed once per
-    configuration object; the trials hold them all, so no id is reused."""
-    serialized: dict[int, tuple[str, str]] = {}
+    byte-identical files."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HISTORY_COLUMNS)
         charged = 0
         for t in history.trials:
             charged += t.charged_epochs
-            config = t.configuration
-            if id(config) not in serialized:
-                serialized[id(config)] = (
-                    serialize_config(config), serialize_architecture(config)
-                )
             writer.writerow(
                 [
                     history.run_seed,
@@ -425,7 +401,8 @@ def write_history_csv(history: RunHistory, path: str | Path) -> None:
                     repr(t.cost.runtime_hours) if t.cost is not None else "",
                     charged,
                     t.status,
-                    *serialized[id(config)],
+                    t.configuration.serialized_config,
+                    t.configuration.serialized_architecture,
                 ]
             )
 

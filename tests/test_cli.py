@@ -291,6 +291,16 @@ class TestReportCommand:
         rc = run_cli("report", "crosseval", "--runs", str(run_a), str(out_b))
         assert rc == 2
 
+    def test_crosseval_unknown_size_parameter_exit_2(self, tmp_path, capsys):
+        # a hand-edited resolved_problem is bad input, not a fault
+        out = self.make_run(tmp_path)
+        path = out / "manifest.resolved.json"
+        manifest = json.loads(path.read_text())
+        manifest["resolved_problem"]["size_parameters"] = ["nope"]
+        path.write_text(json.dumps(manifest))
+        assert run_cli("report", "crosseval", "--runs", str(out)) == 2
+        assert "nope" in capsys.readouterr().err
+
     def test_pareto_missing_column_exit_2(self, tmp_path, capsys):
         out = self.make_run(tmp_path)
         path = out / "seed_0" / "history.csv"

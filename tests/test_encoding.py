@@ -1,6 +1,8 @@
 """The configuration encoder: ``configspace.normalize`` and what is built on
 it, pinned bit for bit."""
 
+import builtins
+import json
 import math
 from pathlib import Path
 
@@ -10,7 +12,10 @@ from hypothesis import strategies as st
 
 from jahsband import configspace as cs
 from jahsband import grammar as hg
+from jahsband.analysis import export_reports
 from jahsband.harness import SyntheticProblem
+from jahsband.priorband import run
+from jahsband.scheduler import budget_ladder
 
 import density_oracle
 import sampling_oracle
@@ -78,6 +83,33 @@ def test_synthetic_evaluate_bits_pinned():
         got = (low.primary, low.runtime_hours, top.primary,
                noisy_top.primary, noisy_top.runtime_hours)
         assert tuple(v.hex() for v in got) == want
+
+
+def test_pins_hold_under_compensated_sum(monkeypatch, tmp_path):
+    # Python 3.12's builtin sum compensates float sums, 3.11's adds left to
+    # right; with a compensated sum in its place, nothing pinned may change
+    real_sum = builtins.sum
+
+    def compensated_sum(iterable, start=0):
+        items = list(iterable)
+        if any(type(v) is float for v in items):
+            return math.fsum([start, *items])
+        return real_sum(items, start)
+
+    def short_run(out):
+        # seed 1 is one whose history.csv a compensated quality sum changes;
+        # the strategy weights show a compensated share sum
+        space = cs.load_space(SPACE_FILE)
+        problem = SyntheticProblem.from_space(space, b_max=27)
+        result = run(space, problem, budget_ladder(1, 27, 3), seed=1)
+        export_reports(result, out)
+        return (out / "history.csv").read_bytes(), result.weight_traces
+
+    plain = short_run(tmp_path / "plain")
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1] * 10) == 1.0 != real_sum([0.1] * 10)
+    test_synthetic_evaluate_bits_pinned()
+    assert short_run(tmp_path / "compensated") == plain
 
 
 def test_prior_pdf_bits_pinned():
@@ -178,6 +210,38 @@ def test_normalize_matches_reference(space, seed):
         assert len(row) == len(cs.coordinate_names(space))
 
 
+def test_normalize_returns_a_fresh_list():
+    space = cs.load_space(SPACE_FILE)
+    config = cs.sample(space, "uniform", 0)
+    row = cs.normalize(space, config)
+    want = list(row)
+    row[0] = -1.0
+    row.append(2.0)
+    assert cs.normalize(space, config) == want
+    assert cs.normalize(space, config) is not cs.normalize(space, config)
+
+
+def test_normalize_keeps_one_row_per_space():
+    narrow = cs.build_space([cs.ParameterSpec("p0", "float", lo=0.0, hi=1.0, default=0.5)])
+    wide = cs.build_space([cs.ParameterSpec("p0", "float", lo=0.0, hi=2.0, default=0.5)])
+    config = cs.Configuration({"p0": 0.5})
+    for _ in range(2):
+        assert cs.normalize(narrow, config) == [0.5]
+        assert cs.normalize(wide, config) == [0.25]
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=space_strategy(), seed=st.integers(0, 2**32 - 1))
+def test_serialized_strings_match_reference(space, seed):
+    rng = np.random.default_rng(seed)
+    for strategy in ("uniform", "prior"):
+        config = cs.sample(space, strategy, rng)
+        want_arch = "" if config.derivation is None else hg.serialize(config.derivation)
+        for _ in range(2):
+            assert config.serialized_config == json.dumps(config.assignments, sort_keys=True)
+            assert config.serialized_architecture == want_arch
+
+
 # log densities against the frozen per-row code in density_oracle.py
 
 @st.composite
@@ -216,8 +280,6 @@ def test_log_densities_match_oracle_bits(space, seed, confidence, data):
                 for r in table]
         got = cs.log_densities(space, table, center, confidence)
         assert [v.hex() for v in got] == [v.hex() for v in want]
-        for row, value in zip(table, want):
-            assert cs.log_density(space, row, center, confidence).hex() == value.hex()
 
 
 # sampling and evaluation against the frozen code in sampling_oracle.py

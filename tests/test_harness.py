@@ -15,6 +15,7 @@ from jahsband.harness import (
     EvaluatorReportedFailure,
     EvaluatorTimeout,
     ExternalEvaluator,
+    InvalidProblemError,
     MalformedRowError,
     MissingEntryError,
     ProtocolError,
@@ -24,7 +25,6 @@ from jahsband.harness import (
     SyntheticProblem,
     config_key,
     dsc,
-    unit_coordinates,
 )
 from jahsband.moo import CostVector
 from jahsband.priorband import RunHistory, read_history_csv, run, write_history_csv
@@ -210,13 +210,17 @@ class TestSyntheticProblem:
     def test_optimum_must_be_in_unit_cube(self):
         with pytest.raises(ValueError):
             SyntheticProblem.from_space(self.space, optimum={"p0": 1.5})
+    def test_unknown_size_parameter_rejected(self):
+        with pytest.raises(InvalidProblemError, match="nope"):
+            SyntheticProblem.from_space(self.space, size_parameters=("nope",))
     def test_categorical_coordinates_rescaled(self):
         space = cs.build_space([
             cs.ParameterSpec("c", "categorical", values=("a", "b", "c"),
-                             default="a"),
+                             default="c"),
         ])
-        coords = unit_coordinates(space, cs.Configuration({"c": "c"}))
-        assert coords["c"] == 1.0
+        problem = SyntheticProblem.from_space(space, optimum="default", b_max=1)
+        assert problem.optimum == {"c": 1.0}
+        assert problem.evaluate(cs.Configuration({"c": "c"}), 1).primary == 0.0
 LADDER = budget_ladder(1, 27, 3)
 def write_history(path, space, trials):
     """history.csv of the given trials, as a run would export it."""

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import sys
 from collections import Counter
@@ -13,6 +14,7 @@ import jahsband as jb
 from jahsband import configspace as cs
 from jahsband import grammar as hg
 from jahsband import priorband
+from jahsband.analysis import _history_matrix, export_reports
 from jahsband.harness import EvaluationFailed, SyntheticProblem
 from jahsband.moo import CostVector
 from jahsband.priorband import (
@@ -25,7 +27,6 @@ from jahsband.priorband import (
     incumbent_for_sampling,
     read_history_csv,
     sampler_weights,
-    serialize_config,
     write_history_csv,
 )
 from jahsband.scheduler import Trial, budget_ladder
@@ -82,8 +83,6 @@ def assert_views_current(history):
     assert history.costs_at_highest_budget() == entries
     assert history.pareto_entries() == front
     assert dict(history.configurations()) == configs
-    for cid, config in configs.items():
-        assert history.row(cid) == tuple(cs.normalize(history.space, config))
 
 
 class CheckedHistory(RunHistory):
@@ -142,7 +141,10 @@ class TestRunHistoryViews:
         loaded = read_history_csv(path, space, ladder)
         assert isinstance(loaded, CheckedHistory)
 
-    def test_row_dropped_when_config_replaced(self):
+    def test_rows_follow_latest_configuration(self, monkeypatch):
+        # the feature matrix and the top rows weighting scores read each
+        # config_id's latest configuration, also after an earlier one of the
+        # same id was encoded
         space = float_space(1)
         history = RunHistory(space, budget_ladder(1, 27, 3))
         first = cs.Configuration({"p0": 0.25})
@@ -151,13 +153,22 @@ class TestRunHistoryViews:
             history.add(Trial(3, config, 0, 0, budget, "random", 0,
                               cost=CostVector(0.5, 1.0)))
 
+        log_densities, scored = cs.log_densities, []
+
+        def recording(space, rows, center, confidence=None):
+            scored.append([list(r) for r in rows])
+            return log_densities(space, rows, center, confidence)
+
+        monkeypatch.setattr(cs, "log_densities", recording)
+        default = space.default_configuration()
         add(first, 1)
-        row = history.row(3)
-        assert row == (0.25,)
-        add(first, 3)
-        assert history.row(3) is row
-        add(cs.Configuration({"p0": 0.75}), 9)
-        assert history.row(3) == (0.75,)
+        add(first, 27)
+        assert _history_matrix(history)[0].tolist() == [[0.25]]
+        dynamic_weighting(history, default, first)
+        add(cs.Configuration({"p0": 0.75}), 27)
+        assert _history_matrix(history)[0].tolist() == [[0.75]]
+        dynamic_weighting(history, default, first)
+        assert scored == [[[0.25]], [[0.25]], [[0.75]], [[0.75]]]
 
     def test_csv_strings_follow_each_trials_configuration(self, tmp_path):
         g = hg.build_grammar(3, 1)
@@ -180,7 +191,8 @@ class TestRunHistoryViews:
             rows = list(csv.DictReader(fh))
         assert [(r["serialized_config"], r["serialized_architecture"])
                 for r in rows] == [
-            (serialize_config(c), hg.serialize(c.derivation)) for c in order
+            (json.dumps(c.assignments, sort_keys=True), hg.serialize(c.derivation))
+            for c in order
         ]
 
     def test_configurations_is_read_only(self):
@@ -562,37 +574,36 @@ class TestRun:
         assert set(parsed.values()) == {1}
         assert len(parsed) < len(loaded.trials)
 
-    def test_top_rows_encoded_once_per_history(self, tmp_path, monkeypatch):
+    def test_each_configuration_encoded_once_per_space(self, tmp_path, monkeypatch):
+        # every rung's evaluation, the weighting's top rows and centers and
+        # the report's feature matrix share one encoding per configuration
         space = cs.load_space(SPACE_FILE)
         problem = SyntheticProblem.from_space(space, b_max=27)
         ladder = budget_ladder(1, 27, 3)
-        normalize, weighting = cs.normalize, priorband.dynamic_weighting
-        encoded, as_center, kept = Counter(), Counter(), []
+        unit_features = hg.Grammar.unit_features
+        encoded, kept = Counter(), []
 
-        def counting_normalize(space, config):
-            if kept:
-                encoded[id(config)] += 1
-            return normalize(space, config)
+        def counting(grammar, derivation):
+            # only normalize encodes; its frame holds the configuration
+            config = sys._getframe(1).f_locals["config"]
+            kept.append(config)  # so no id is reused
+            encoded[id(config)] += 1
+            return unit_features(grammar, derivation)
 
-        def counting_weighting(history, prior_center, incumbent):
-            # centers stay referenced, so their ids are never reused
-            kept.extend((prior_center, incumbent))
-            as_center.update((id(prior_center), id(incumbent)))
-            return weighting(history, prior_center, incumbent)
-
-        monkeypatch.setattr(cs, "normalize", counting_normalize)
-        monkeypatch.setattr(priorband, "dynamic_weighting", counting_weighting)
+        monkeypatch.setattr(hg.Grammar, "unit_features", counting)
         result = jb.run(space, problem, ladder, seed=1)
-        monkeypatch.undo()
-        configs = result.history.configurations()
-        as_top_row = [encoded[id(c)] - as_center[id(c)] for c in configs.values()]
-        assert len(kept) >= 4, "expected weighting in at least two brackets"
-        assert sum(as_top_row) > 0 and max(as_top_row) == 1
         path = tmp_path / "history.csv"
-        write_history_csv(result.history, path)
+        export_reports(result, tmp_path, importance=True, trees=2)
+        trials = result.history.trials
+        assert len({id(t.configuration) for t in trials}) < len(trials)
+        assert max(encoded.values()) == 1
+        assert all(encoded[id(t.configuration)] == 1 for t in trials)
+        assert len(encoded) > len({id(t.configuration) for t in trials})
+        monkeypatch.undo()
+        fresh = cs.load_space(SPACE_FILE)
         for history in (result.history, read_history_csv(path, space, ladder)):
-            for cid, config in history.configurations().items():
-                assert history.row(cid) == tuple(cs.normalize(space, config))
+            for config in history.configurations().values():
+                assert cs.normalize(space, config) == cs.normalize(fresh, config)
 
     def test_grammar_space_run(self):
         space = cs.load_space({
