@@ -13,12 +13,17 @@ so real trainers can attach. Every backend returns a
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import selectors
 import shlex
+import signal
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
@@ -319,12 +324,18 @@ class ReplayProblem:
         return self.table[key]
 
 
-def _close_quietly(pipe) -> None:
-    """Close a pipe to a child that may have exited with data unflushed."""
-    try:
-        pipe.close()
-    except OSError:
-        pass
+def _stop(proc: subprocess.Popen, grace: float) -> None:
+    """End a child: give it ``grace`` seconds to exit on stdin EOF, then kill
+    its whole process group, so a trainer started behind a wrapper script
+    dies with it and no process is left holding the pipe or a GPU."""
+    with contextlib.suppress(OSError):  # a dead child may leave data unflushed
+        proc.stdin.close()
+    with contextlib.suppress(subprocess.TimeoutExpired):
+        proc.wait(timeout=grace)
+    with contextlib.suppress(ProcessLookupError):  # the group has exited
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    proc.stdout.close()
 
 
 class ExternalEvaluator:
@@ -333,10 +344,14 @@ class ExternalEvaluator:
     One JSON object per line on the child's stdin/stdout. Request:
     {"id", "config", "architecture", "budget", "previous_budget", "seed"};
     response: {"id", "status": "ok"|"failed", "objectives": {"primary",
-    "runtime_hours"}}. previous_budget signals run continuation. A child
-    that exits, closes its output, misses the timeout or answers with a line
-    that is not a JSON object carrying the request's id is killed; that
-    request fails and the next one starts a fresh child from the same argv.
+    "runtime_hours"}}, a UTF-8 line ending in "\\n" or "\\r\\n".
+    previous_budget signals run continuation. The child leads its own session
+    (POSIX only). One that exits, closes its output, misses the timeout or
+    answers with a line that is not a JSON object carrying the request's id is
+    killed with its whole process group; that request fails and the next one
+    starts a fresh child from the same argv. :meth:`close` gives the child 5 s
+    to exit on stdin EOF, then does the same. A process that calls ``setsid``
+    itself is not reached.
     """
 
     def __init__(
@@ -346,6 +361,8 @@ class ExternalEvaluator:
         b_max: int,
         timeout: float = 60.0,
     ) -> None:
+        if not 0 < timeout < math.inf:
+            raise InvalidProblemError(f"timeout must be finite and > 0, got {timeout!r}")
         self.space = space
         self.b_max = b_max
         self.timeout = timeout
@@ -358,13 +375,13 @@ class ExternalEvaluator:
         self._counter = 0
 
     def _spawn(self) -> subprocess.Popen:
+        self._pending = b""  # bytes read past the last newline
         try:
             return subprocess.Popen(
                 self._argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                start_new_session=True,
             )
         except OSError as exc:
             raise EvaluationFailed(
@@ -382,9 +399,8 @@ class ExternalEvaluator:
             if self._proc is None:
                 self._proc = self._spawn()
             self._counter += 1
-            request_id = f"eval-{self._counter}"
             request = {
-                "id": request_id,
+                "id": f"eval-{self._counter}",
                 "config": config.assignments,
                 "architecture": config.serialized_architecture or None,
                 "budget": budget,
@@ -392,26 +408,14 @@ class ExternalEvaluator:
                 "seed": seed,
             }
             try:
-                self._proc.stdin.write(json.dumps(request) + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                self._discard()
-                raise ProtocolError(f"evaluator pipe broken: {exc}") from exc
-            line = self._read_line()
-            try:
-                response = json.loads(line)
-            except json.JSONDecodeError:
-                response = None
-            # after a stray or unreadable line the child's replies may be out
-            # of step with its requests, so it is replaced like a dead child
-            if not isinstance(response, dict):
-                self._discard()
-                raise ProtocolError(f"malformed response: {line!r}")
-            if response.get("id") != request_id:
-                self._discard()
-                raise ProtocolError(
-                    f"response id {response.get('id')!r} != request id {request_id!r}"
-                )
+                response = self._exchange(request)
+            except EvaluationFailed:
+                # after a late, stray or unreadable reply the child's replies
+                # may be out of step with its requests, so it is replaced and
+                # a dead or late child costs one trial
+                proc, self._proc = self._proc, None
+                _stop(proc, 0)
+                raise
         if response.get("status") == "failed":
             raise EvaluatorReportedFailure(str(response.get("error", "failed")))
         if response.get("status") != "ok":
@@ -424,52 +428,42 @@ class ExternalEvaluator:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"bad objectives in {response!r}") from exc
 
-    def _read_line(self) -> str:
-        result: list[str] = []
-        stdout = self._proc.stdout
-
-        def reader() -> None:
-            result.append(stdout.readline())
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        thread.join(self.timeout)
-        if thread.is_alive():
-            # the late reply would be read as the answer to a later request
-            self._discard(thread)
-            raise EvaluatorTimeout(f"no response within {self.timeout}s")
-        if not result or not result[0]:
-            self._discard()
-            raise ProtocolError("evaluator closed its output")
-        return result[0]
-
-    def _discard(self, reader: threading.Thread | None = None) -> None:
-        """Kill the child and drop it, so the next request starts a fresh one
-        and a dead or late child costs one trial. A ``reader`` still blocked
-        on the child's output ends when the killed child's pipe closes."""
-        proc, self._proc = self._proc, None
-        proc.kill()
-        proc.wait()
-        _close_quietly(proc.stdin)
-        if reader is not None:
-            # a process the child started may still hold the pipe open; the
-            # reader then keeps the pipe, which closing would block on
-            reader.join(1.0)
-            if reader.is_alive():
-                return
-        proc.stdout.close()
+    def _exchange(self, request: dict) -> dict:
+        """Send one request and read its reply line within the timeout;
+        raises only :class:`EvaluationFailed` subclasses."""
+        try:
+            self._proc.stdin.write(json.dumps(request).encode() + b"\n")
+            self._proc.stdin.flush()
+        except OSError as exc:
+            raise ProtocolError(f"evaluator pipe broken: {exc}") from exc
+        deadline = time.monotonic() + self.timeout
+        fd = self._proc.stdout.fileno()
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                if not selector.select(deadline - time.monotonic()):
+                    raise EvaluatorTimeout(f"no response within {self.timeout}s")
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    raise ProtocolError("evaluator closed its output")
+                self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        try:  # not UTF-8 or not JSON
+            response = json.loads(line.decode())
+        except ValueError:
+            response = None
+        if not isinstance(response, dict):
+            raise ProtocolError(f"malformed response: {line!r}")
+        if response.get("id") != request["id"]:
+            raise ProtocolError(
+                f"response id {response.get('id')!r} != request id {request['id']!r}"
+            )
+        return response
 
     def close(self) -> None:
-        proc = self._proc
-        if proc is None:
-            return
-        _close_quietly(proc.stdin)
-        try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            _stop(proc, 5)
 
     def __enter__(self) -> "ExternalEvaluator":
         return self

@@ -366,6 +366,12 @@ INPUT_ERRORS = {
         tmp / "o", space=_write(tmp / "s.json", "{not json")),
     "unbalanced external command": lambda tmp, run: small_run_args(tmp / "o")
         + ["--problem", "external", "--external-cmd", "python 'x"],
+    "NaN external timeout": lambda tmp, run: small_run_args(tmp / "o")
+        + ["--problem", "external", "--external-cmd", "true", "--external-timeout", "nan"],
+    "zero external timeout": lambda tmp, run: small_run_args(tmp / "o")
+        + ["--problem", "external", "--external-cmd", "true", "--external-timeout", "0"],
+    "manifest external timeout": lambda tmp, run: _manifest_run(
+        tmp, {"problem": "external", "external_cmd": "true", "external_timeout": -1}),
     "zero scale": lambda tmp, run: ["grammar", "count", "--stages", "3", "--scale", "0"],
     "short block profile":
         lambda tmp, run: ["grammar", "count", "--stages", "3", "--conv-blocks", "1"],

@@ -1,6 +1,10 @@
+import json
 import math
+import shlex
 import sys
 import tempfile
+import threading
+import time
 import zlib
 from pathlib import Path
 import numpy as np
@@ -30,6 +34,7 @@ from jahsband.moo import CostVector
 from jahsband.priorband import RunHistory, read_history_csv, run, write_history_csv
 from jahsband.scheduler import Trial, budget_ladder
 from conftest import float_space
+import fault_stub
 ECHO_EVALUATOR = """\
 import sys, json
 for line in sys.stdin:
@@ -98,11 +103,53 @@ import sys
 for line in sys.stdin:
     print("[]", flush=True)
 """
+# writes REPLY's bytes as its answer to every request
+RAW_REPLY_EVALUATOR = """\
+import sys
+for line in sys.stdin:
+    sys.stdout.buffer.write(REPLY)
+    sys.stdout.flush()
+"""
+# a trainer behind a wrapper script: it starts a process that appends to the
+# heartbeat file, never reads stdin and keeps stdout open (a data loader,
+# say), then answers every request, or with "hang" none
+WRAPPED_TRAINER = """\
+import json, os, subprocess, sys, time
+stub, heartbeat, mode = sys.argv[1:]
+subprocess.Popen([sys.executable, "-S", stub, "--beat", heartbeat], stdin=subprocess.DEVNULL)
+while not (os.path.exists(heartbeat) and os.path.getsize(heartbeat)):
+    time.sleep(0.01)
+for line in sys.stdin:
+    req = json.loads(line)
+    if mode == "hang":
+        time.sleep(30)
+    print(json.dumps({"id": req["id"], "status": "ok",
+                      "objectives": {"primary": 0.5, "runtime_hours": 1.0}}),
+          flush=True)
+"""
+FAULT_STUB = str(Path(__file__).with_name("fault_stub.py"))
 def make_evaluator(tmp_path, body, space, b_max=100, timeout=60.0):
     script = tmp_path / "evaluator.py"
     script.write_text(body)
     return ExternalEvaluator([sys.executable, str(script)], space, b_max,
                              timeout=timeout)
+def wrapped_trainer(tmp_path, mode, space, timeout=60.0):
+    """An evaluator on WRAPPED_TRAINER run through ``sh -c``, and the
+    heartbeat file of the trainer's own child."""
+    script = tmp_path / "trainer.py"
+    script.write_text(WRAPPED_TRAINER)
+    heartbeat = tmp_path / "heartbeat"
+    args = [sys.executable, str(script), FAULT_STUB, str(heartbeat), mode]
+    command = ["sh", "-c", f"{shlex.join(args)}; true"]
+    return ExternalEvaluator(command, space, 9, timeout=timeout), heartbeat
+def assert_all_stopped(heartbeat, threads):
+    """No process the evaluator started is left, so the heartbeat file has
+    stopped growing, and no thread that was not in ``threads`` runs."""
+    time.sleep(0.05)  # for the killed processes to die
+    size = heartbeat.stat().st_size
+    time.sleep(5 * fault_stub.BEAT_S)
+    assert heartbeat.stat().st_size == size > 0
+    assert set(threading.enumerate()) <= threads
 class TestDsc:
     def test_perfect_overlap(self):
         x = np.ones((3, 3, 3), dtype=bool)
@@ -471,3 +518,127 @@ for line in sys.stdin:
             resumed = evaluator.evaluate(config, 30, previous_budget=10)
         assert fresh.runtime_hours == 30.0
         assert resumed.runtime_hours == 20.0
+    def test_non_utf8_reply_is_malformed(self, tmp_path):
+        space = float_space(1)
+        body = RAW_REPLY_EVALUATOR.replace("REPLY", repr(b"\xff\xfe\n"))
+        with make_evaluator(tmp_path, body, space) as evaluator:
+            with pytest.raises(ProtocolError, match="malformed"):
+                evaluator.evaluate(space.default_configuration(), 10)
+    def test_crlf_terminated_reply_parses(self, tmp_path):
+        space = float_space(1)
+        reply = b'{"id": "eval-1", "status": "ok", "objectives": ' \
+                b'{"primary": 0.5, "runtime_hours": 1.0}}\r\n'
+        body = RAW_REPLY_EVALUATOR.replace("REPLY", repr(reply))
+        with make_evaluator(tmp_path, body, space) as evaluator:
+            assert evaluator.evaluate(space.default_configuration(), 10) == CostVector(0.5, 1.0)
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        # checked before the spawn, which would fail with EvaluationFailed
+        with pytest.raises(InvalidProblemError, match="timeout"):
+            ExternalEvaluator(["/no/such/binary"], float_space(1), 10, timeout=timeout)
+    def test_evaluate_after_close_starts_a_fresh_child(self, tmp_path):
+        space = float_space(1)
+        evaluator = make_evaluator(tmp_path, ECHO_EVALUATOR, space)
+        for _ in range(2):
+            assert evaluator.evaluate(space.default_configuration(), 40) == CostVector(0.25, 0.04)
+            evaluator.close()
+        evaluator.close()
+class TestWrappedTrainer:
+    """A trainer started through ``sh -c`` whose own child keeps running:
+    every way out of the evaluator must end the whole process group."""
+    def test_timeout_kills_the_group_promptly(self, tmp_path):
+        space = float_space(1)
+        threads = set(threading.enumerate())
+        evaluator, heartbeat = wrapped_trainer(tmp_path, "hang", space, timeout=0.5)
+        with evaluator:
+            start = time.monotonic()
+            with pytest.raises(EvaluatorTimeout):
+                evaluator.evaluate(space.default_configuration(), 9)
+            assert time.monotonic() - start < 1.0
+            assert_all_stopped(heartbeat, threads)
+    def test_close_kills_a_child_that_ignores_stdin_eof(self, tmp_path):
+        space = float_space(1)
+        threads = set(threading.enumerate())
+        evaluator, heartbeat = wrapped_trainer(tmp_path, "answer", space)
+        with evaluator:
+            assert evaluator.evaluate(space.default_configuration(), 9) == CostVector(0.5, 1.0)
+        assert_all_stopped(heartbeat, threads)
+    def test_interrupt_inside_run_kills_the_group(self, tmp_path):
+        space = float_space(1)
+        threads = set(threading.enumerate())
+        evaluator, heartbeat = wrapped_trainer(tmp_path, "answer", space)
+        class Interrupting:
+            """Ctrl-C arriving during the fifth evaluation."""
+            def __init__(self):
+                self.space, self.calls = space, 0
+            def evaluate(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 5:
+                    raise KeyboardInterrupt
+                return evaluator.evaluate(*args, **kwargs)
+        with pytest.raises(KeyboardInterrupt):
+            with evaluator:
+                run(space, Interrupting(), budget_ladder(1, 9, 3), seed=0)
+        assert_all_stopped(heartbeat, threads)
+class FaultTwin:
+    """In-process twin of ``fault_stub``: the same objectives, and
+    EvaluationFailed on exactly the requests its schedule makes fail."""
+    def __init__(self, space, schedule):
+        self.space, self.schedule = space, schedule
+    def evaluate(self, config, budget, seed=0, previous_budget=None):
+        params = json.loads(json.dumps(config.assignments))  # as the stub reads them
+        arch = config.serialized_architecture or None
+        if fault_stub.fault(params, arch, budget, self.schedule) in fault_stub.FAILURES:
+            raise EvaluationFailed("scheduled fault")
+        return CostVector(*fault_stub.objectives(params, arch, budget))
+#: what evaluate does when the stub answers every request with one fault;
+#: NaN and out-of-range objectives are returned and rejected by run()
+FAULT_OUTCOMES = {
+    "exit": ProtocolError, "hang": EvaluatorTimeout, "not-json": ProtocolError,
+    "not-utf8": ProtocolError, "not-object": ProtocolError, "wrong-id": ProtocolError,
+    "failed": EvaluatorReportedFailure, "nan": None, "above-one": None,
+    "grandchild": EvaluatorTimeout, "split": None,
+}
+FAULT_SCHEDULES = st.fixed_dictionaries({
+    "salt": st.integers(0, 2**32 - 1),
+    "shares": st.fixed_dictionaries(
+        {name: st.sampled_from([0.0, 0.04, 0.08]) for name in fault_stub.FAULTS}),
+})
+class TestFaultInjection:
+    @staticmethod
+    def stub(tmp, space, schedule):
+        heartbeat = tmp / "heartbeat"
+        command = [sys.executable, "-S", FAULT_STUB, json.dumps(schedule), str(heartbeat)]
+        return ExternalEvaluator(command, space, fault_stub.B_MAX, timeout=0.3), heartbeat
+    @pytest.mark.parametrize("name", fault_stub.FAULTS)
+    def test_each_fault_has_its_outcome(self, tmp_path, name):
+        space = float_space(1)
+        config = space.default_configuration()
+        threads = set(threading.enumerate())
+        evaluator, heartbeat = self.stub(tmp_path, space, {"salt": 0, "shares": {name: 1.0}})
+        with evaluator:
+            for _ in range(2):  # the second request after a fault goes to a fresh child
+                if FAULT_OUTCOMES[name] is None:
+                    evaluator.evaluate(config, 3)
+                else:
+                    with pytest.raises(FAULT_OUTCOMES[name]):
+                        evaluator.evaluate(config, 3)
+        assert_all_stopped(heartbeat, threads)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=4, deadline=None)
+    @given(schedule=FAULT_SCHEDULES, seed=st.integers(0, 99))
+    def test_history_matches_in_process_twin(self, workers, schedule, seed):
+        space = cs.load_space(
+            Path(__file__).resolve().parents[1] / "spaces" / "jahs_table3_4.json")
+        ladder = budget_ladder(1, fault_stub.B_MAX, 3)
+        threads = set(threading.enumerate())
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            twin = run(space, FaultTwin(space, schedule), ladder, seed=seed, workers=workers)
+            evaluator, heartbeat = self.stub(tmp, space, schedule)
+            with evaluator:
+                external = run(space, evaluator, ladder, seed=seed, workers=workers)
+            assert_all_stopped(heartbeat, threads)
+            write_history_csv(twin.history, tmp / "twin.csv")
+            write_history_csv(external.history, tmp / "external.csv")
+            assert (tmp / "external.csv").read_bytes() == (tmp / "twin.csv").read_bytes()
