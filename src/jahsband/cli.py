@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -136,6 +137,9 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
             raise ManifestError(
                 f"{key} must be of type {want.__name__}, got {resolved[key]!r}"
             )
+        # NaN fails both comparisons, and a manifest holding it is not JSON
+        if want is float and not -math.inf < resolved[key] < math.inf:
+            raise ManifestError(f"{key} must be finite, got {resolved[key]!r}")
     if not resolved["space"]:
         raise ManifestError("no search space given (--space or manifest)")
     if not Path(resolved["space"]).exists():
@@ -189,9 +193,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     ladder = budget_ladder(
         manifest["min_budget"], manifest["max_budget"], manifest["eta"]
     )
-    out_root = Path(manifest["out"])
-    out_root.mkdir(parents=True, exist_ok=True)
-
     # written before the first seed, so every finished seed can be reported
     # on even if a later one fails
     record = dict(manifest)
@@ -200,6 +201,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if manifest["problem"] == "synthetic":
         problem = _build_problem(manifest, space, ladder)
         record["resolved_problem"] = problem.to_dict()
+    out_root = Path(manifest["out"])
+    out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from ._normal import ndtr, ndtri
 
 FLOAT = "float"
 LOG_FLOAT = "log_float"
@@ -75,7 +76,7 @@ def _uniform(rng: np.random.Generator, a: float, b: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _truncnorm_bounds(mu: float, sigma: float) -> tuple[float, float]:
-    return float(ndtr((0.0 - mu) / sigma)), float(ndtr((1.0 - mu) / sigma))
+    return ndtr((0.0 - mu) / sigma), ndtr((1.0 - mu) / sigma)
 
 
 def _truncnorm_sample(
@@ -86,7 +87,7 @@ def _truncnorm_sample(
     computed once per pair; drawn between them by :func:`_uniform`, each
     value and the stream are as ``rng.uniform`` between fresh bounds leaves
     them."""
-    return float(mu + sigma * ndtri(_uniform(rng, *_truncnorm_bounds(mu, sigma))))
+    return mu + sigma * ndtri(_uniform(rng, *_truncnorm_bounds(mu, sigma)))
 
 
 @dataclass(frozen=True)

@@ -143,14 +143,17 @@ class SyntheticProblem:
                 raise InvalidProblemError(f"unknown coordinate names: {sorted(unknown)}")
         if any(not 0.0 <= v <= 1.0 for v in self.optimum.values()):
             raise InvalidProblemError("optimum must lie inside the unit cube")
-        if any(w < 0 for w in self.weights.values()) or not any(
+        # every check holds for NaN too: a comparison with NaN is False
+        if any(not 0 <= w < math.inf for w in self.weights.values()) or not any(
             w > 0 for w in self.weights.values()
         ):
-            raise InvalidProblemError("weights must be >= 0 with at least one > 0")
-        if self.curvature <= 0:
-            raise InvalidProblemError("curvature must be positive")
-        if self.noise < 0:
-            raise InvalidProblemError("noise must be >= 0")
+            raise InvalidProblemError("weights must be finite and >= 0 with at least one > 0")
+        if not 0 < self.curvature < math.inf:
+            raise InvalidProblemError("curvature must be finite and > 0")
+        if not 0 < self.hours_per_epoch < math.inf:
+            raise InvalidProblemError("hours_per_epoch must be finite and > 0")
+        if not 0 <= self.noise < math.inf:
+            raise InvalidProblemError("noise must be finite and >= 0")
 
     @classmethod
     def from_space(

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import jahsband
 from jahsband import analysis, cli, grammar as hg, priorband
 from jahsband.cli import main
 
@@ -216,6 +220,54 @@ class TestRun:
             out / "seed_0" / "pareto.json").read_bytes()
 
 
+#: runs ``jahsband.cli.main`` on each JSON-encoded argv of ``sys.argv[1:]``
+#: with scipy refused by a meta path finder, then prints the scipy modules
+#: that got loaded anyway
+WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, RefuseScipy())
+from jahsband.cli import main
+
+for argv in sys.argv[1:]:
+    code = main(json.loads(argv))
+    if code:
+        sys.exit(code)
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+"""
+
+
+def test_runs_and_reports_without_scipy(tmp_path):
+    """scipy is a test dependency only: a run and both reports work with
+    it refused, and write the bytes an ordinary process writes."""
+    def commands(out):
+        return [
+            ["run", "--space", SPACE, "--eta", "3", "--min-budget", "1",
+             "--max-budget", "27", "--seed", "0", "--out", str(out)],
+            ["report", "importance", "--run", str(out)],
+            ["report", "pareto", "--run", str(out)],
+        ]
+
+    for argv in commands(tmp_path / "ordinary"):
+        assert run_cli(*argv) == 0
+    paths = [str(Path(jahsband.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, *map(json.dumps, commands(tmp_path / "bare"))],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    for name in ("history.csv", "pareto.json", "importance.json"):
+        bare, ordinary = (tmp_path / side / "seed_0" / name for side in ("bare", "ordinary"))
+        assert bare.read_bytes() == ordinary.read_bytes(), name
+
+
 class TestGrammarCommand:
     def test_count_reference(self, capsys):
         assert run_cli("grammar", "count", "--stages", "4", "--scale", "1") == 0
@@ -368,6 +420,13 @@ INPUT_ERRORS = {
         + ["--problem", "external", "--external-cmd", "python 'x"],
     "NaN external timeout": lambda tmp, run: small_run_args(tmp / "o")
         + ["--problem", "external", "--external-cmd", "true", "--external-timeout", "nan"],
+    "NaN noise": lambda tmp, run: small_run_args(tmp / "o") + ["--noise", "nan"],
+    "NaN curvature": lambda tmp, run: small_run_args(tmp / "o") + ["--curvature", "nan"],
+    "NaN hours per epoch":
+        lambda tmp, run: small_run_args(tmp / "o") + ["--hours-per-epoch", "nan"],
+    "infinite noise": lambda tmp, run: small_run_args(tmp / "o") + ["--noise", "inf"],
+    "zero hours per epoch":
+        lambda tmp, run: small_run_args(tmp / "o") + ["--hours-per-epoch", "0"],
     "zero external timeout": lambda tmp, run: small_run_args(tmp / "o")
         + ["--problem", "external", "--external-cmd", "true", "--external-timeout", "0"],
     "manifest external timeout": lambda tmp, run: _manifest_run(
@@ -384,6 +443,12 @@ INPUT_ERRORS = {
     "negative forest seed":
         lambda tmp, run: ["report", "importance", "--run", str(run), "--rf-seed", "-1"],
     "non-finite cost": lambda tmp, run: ["report", "pareto", "--run", _nan_cost_run(tmp, run)],
+}
+
+#: run input errors found only when the external evaluator is built, after
+#: the manifest is written; every other case leaves ``--out`` unmade
+FOUND_AFTER_MANIFEST = {
+    "unbalanced external command", "zero external timeout", "manifest external timeout",
 }
 
 #: manifest values of the wrong type, each once an exit 1 or a silent run
@@ -414,6 +479,8 @@ class TestErrorExits:
             (run / name).write_bytes((finished_run / name).read_bytes())
         assert run_cli(*INPUT_ERRORS[case](tmp_path, run)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        if case not in FOUND_AFTER_MANIFEST:
+            assert not (tmp_path / "o").exists()
 
     @staticmethod
     def _manifest_only_run(tmp, payload):

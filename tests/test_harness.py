@@ -260,6 +260,21 @@ class TestSyntheticProblem:
     def test_unknown_size_parameter_rejected(self):
         with pytest.raises(InvalidProblemError, match="nope"):
             SyntheticProblem.from_space(self.space, size_parameters=("nope",))
+    @pytest.mark.parametrize("key, value", [
+        (key, value)
+        for key in ("curvature", "hours_per_epoch", "noise")
+        for value in (math.nan, math.inf, -1.0)
+    ] + [("curvature", 0.0), ("hours_per_epoch", 0.0)])
+    def test_setting_out_of_range_rejected(self, key, value):
+        # NaN once passed every check: noise NaN ran as noise 0, and a NaN
+        # curvature or hours_per_epoch failed every trial of the run
+        with pytest.raises(InvalidProblemError, match=key):
+            SyntheticProblem.from_space(self.space, **{key: value})
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_weight_out_of_range_rejected(self, weight):
+        weights = {"p0": 1.0, "p1": weight}
+        with pytest.raises(InvalidProblemError, match="weights"):
+            SyntheticProblem.from_space(float_space(2), weights=weights)
     def test_categorical_coordinates_rescaled(self):
         space = cs.build_space([
             cs.ParameterSpec("c", "categorical", values=("a", "b", "c"),
