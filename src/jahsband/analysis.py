@@ -20,9 +20,10 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -61,30 +62,74 @@ class ImportanceReport:
 
 # forest internals
 
-_LEAF = 0
-_NUMERIC_SPLIT = 1
-_CATEGORICAL_SPLIT = 2
+_MASK32 = 0xFFFFFFFF
+_WORDS = 64  # raw words read at a time: a tree takes a few thousand halves
 
 
-class _Node:
-    __slots__ = ("kind", "feature", "threshold", "subset", "left", "right", "value")
+class _Draws:
+    """The draws the forest makes of ``np.random.default_rng(seed)``, taken
+    from the raw 64-bit words of its bit generator (``raw(n)`` returns the
+    next n). A bit generator's raw stream is fixed across numpy releases,
+    while ``Generator`` methods may change (NEP 19), so numpy's algorithms
+    are written out: words are split into 32-bit halves, low half first; a
+    bounded draw is Lemire's multiply-shift with its rejection step; and
+    ``choice(replace=False)`` is Floyd's selection, then a shuffle."""
 
-    def __init__(self, kind, feature=-1, threshold=0.0, subset=None,
-                 left=None, right=None, value=0.0):
-        self.kind = kind
-        self.feature = feature
-        self.threshold = threshold
-        self.subset = subset  # categories routed left
-        self.left = left
-        self.right = right
-        self.value = value
+    def __init__(self, raw: Callable[[int], np.ndarray]) -> None:
+        self._next32 = self._halves(raw).__next__
+
+    @staticmethod
+    def _halves(raw: Callable[[int], np.ndarray]) -> Iterator[int]:
+        while True:
+            words = raw(_WORDS)
+            yield from np.stack((words & _MASK32, words >> 32), axis=1).ravel().tolist()
+
+    def _retry(self, m: int, n: int) -> int:
+        """A half scaled by n to ``m`` whose low half fell under n: redrawn
+        while that low half is under 2**32 % n."""
+        threshold = (_MASK32 + 1 - n) % n
+        while m & _MASK32 < threshold:
+            m = self._next32() * n
+        return m
+
+    def below(self, n: int) -> int:
+        """A draw from range(n), 1 <= n <= 2**32; n == 1 draws nothing."""
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        return (m if m & _MASK32 >= n else self._retry(m, n)) >> 32
+
+    def integers(self, n: int, size: int) -> list[int]:
+        """``Generator.integers(n, size=size)``."""
+        return [self.below(n) for _ in range(size)]
+
+    def choice(self, d: int, k: int) -> list[int]:
+        """``Generator.choice(d, size=k, replace=False)``, k <= d <= 10000:
+        Floyd's selection (j on a repeat), then a Fisher-Yates shuffle."""
+        next32, picked = self._next32, []  # below() inlined: the forest's hot spot
+        for j in range(d - k, d):
+            v = 0
+            if j:
+                m = next32() * (j + 1)
+                v = (m if m & _MASK32 > j else self._retry(m, j + 1)) >> 32
+            picked.append(j if v in picked else v)
+        for i in range(k - 1, 0, -1):
+            m = next32() * (i + 1)
+            j = (m if m & _MASK32 > i else self._retry(m, i + 1)) >> 32
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
 
 
 # A subtree whose root holds at most this many rows grows on Python lists
-# (:func:`_fit_small`), where numpy's per-call overhead would outweigh its
-# per-row speed. Larger nodes keep the presorted numpy path, which is faster
-# there; :func:`_sum` adds a list of any length as numpy would
+# (``small`` in :func:`_fit_tree`), where numpy's per-call overhead would
+# outweigh its per-row speed. Larger nodes keep the presorted numpy path,
+# which is faster there; :func:`_sum` adds a list of any length as numpy would
 _SCALAR_ROWS = 32
+
+# A leaf: its value and its box, a lower and an upper bound per feature and
+# a bitmask of the categories it admits, the categorical features' bits back
+# to back in the order of ``categorical``
+_Leaf = tuple[float, tuple, tuple, int]
 
 
 def _sum(values: list[float]) -> float:
@@ -131,9 +176,9 @@ def _best_numeric_splits(
     k, n = xs.shape
     csum = ys.cumsum(axis=1)
     total = csum[:, -1]
-    # numpy scalar ** calls C pow, which the array path does not: keep this
+    # a float's ** calls C pow, which the array path does not: keep this
     # term per row so the gains stay bit-identical
-    whole = np.array([t**2 / n for t in total])
+    whole = np.array([t**2 / n for t in total.tolist()])
     nl = np.arange(1, n)  # rows left of each cut; nl[::-1] is n - nl
     left = csum[:, :-1]
     gains = left**2 / nl + (total[:, None] - left) ** 2 / nl[::-1] - whole[:, None]
@@ -196,78 +241,67 @@ def _best_categorical_split(
     return best_gain, frozenset(int(run[3]) for run in runs[:best_cut])
 
 
-def _fit_small(
-    cols: list[list[float]],
-    y: list[float],
-    depth: int,
-    categorical: dict[int, int],
-    max_depth: int,
-    n_candidates: int,
-    rng: np.random.Generator,
-) -> _Node:
-    """The subtree :func:`_fit_tree` grows over a few rows, on Python lists:
-    ``cols[f]`` holds column f of the subtree's rows, in row order, and
-    ``y`` their targets. Each node sorts its candidate columns stably, which
-    is the presorted order, and draws its candidates as the array path
-    does, so the tree and the random stream are the same."""
-    d = len(cols)
-    size = min(n_candidates, d)
-
-    def build(rows: list[int], depth: int) -> _Node:
-        ys = list(map(y.__getitem__, rows))
-        if depth >= max_depth or len(rows) < 2 or max(ys) == min(ys):
-            return _Node(_LEAF, value=_sum(ys) / len(ys))
-        best_gain, best = 1e-12, None
-        for f in rng.choice(d, size=size, replace=False).tolist():
-            col = cols[f]
-            order = sorted(rows, key=col.__getitem__)
-            xs = list(map(col.__getitem__, order))
-            ys_sorted = list(map(y.__getitem__, order))
-            if f in categorical:
-                gain, where = _best_categorical_split(xs, ys_sorted)
-                kind = _CATEGORICAL_SPLIT
-            else:
-                gain, where = _best_numeric_split(xs, ys_sorted)
-                kind = _NUMERIC_SPLIT
-            if gain > best_gain:
-                best_gain, best = gain, (kind, f, where)
-        if best is None:
-            return _Node(_LEAF, value=_sum(ys) / len(ys))
-        kind, f, where = best
-        col = cols[f]
-        if kind == _NUMERIC_SPLIT:
-            left = build([r for r in rows if col[r] <= where], depth + 1)
-            right = build([r for r in rows if not col[r] <= where], depth + 1)
-            return _Node(kind, f, threshold=where, left=left, right=right)
-        left = build([r for r in rows if col[r] in where], depth + 1)
-        right = build([r for r in rows if col[r] not in where], depth + 1)
-        return _Node(kind, f, subset=where, left=left, right=right)
-
-    return build(list(range(len(y))), depth)
-
-
-def _fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    categorical: dict[int, int],
-    max_depth: int,
-    n_candidates: int,
-    rng: np.random.Generator,
-) -> _Node:
+def _fit_tree(X: np.ndarray, y: np.ndarray, categorical: dict[int, int], max_depth: int,
+              n_candidates: int, draws: _Draws) -> list[_Leaf]:
+    """The leaves of one tree, depth first with the left child first. Each
+    child is handed its box, so every leaf comes out with its own."""
     n, d = X.shape
+    size = min(n_candidates, d)
+    choice = draws.choice
     side = np.empty(n, dtype=bool)  # per row: goes to the left child
+    leaves: list[_Leaf] = []
+    cols, targets = X.T.tolist(), y.tolist()
+    offsets = dict(zip(categorical, accumulate(categorical.values(), initial=0)))
 
-    def build(idx: np.ndarray, ranked: np.ndarray, depth: int) -> _Node:
+    def boxes(f: int, where, lo: tuple, hi: tuple, admitted: int) -> tuple:
+        """The boxes of the two children of a split on feature f."""
+        if f in categorical:
+            field = (1 << categorical[f]) - 1 << offsets[f]
+            bits = sum(1 << offsets[f] + code for code in where)
+            return (lo, hi, admitted & ~(field ^ bits)), (lo, hi, admitted & ~bits)
+        return ((lo, hi[:f] + (min(hi[f], where),) + hi[f + 1:], admitted),
+                (lo[:f] + (max(lo[f], where),) + lo[f + 1:], hi, admitted))
+
+    def small(rows: list[int], depth: int, box: tuple) -> None:
+        """The subtree over a node's few ``rows`` (ascending), on lists:
+        candidate columns are sorted stably, which is the presorted order,
+        so the tree and the random stream are the array path's."""
+        ys = list(map(targets.__getitem__, rows))
+        best_gain, best = 1e-12, None
+        if depth < max_depth and len(rows) > 1 and max(ys) != min(ys):
+            for f in choice(d, size):
+                col = cols[f]
+                order = sorted(rows, key=col.__getitem__)
+                split = _best_categorical_split if f in categorical else _best_numeric_split
+                gain, where = split(list(map(col.__getitem__, order)),
+                                    list(map(targets.__getitem__, order)))
+                if gain > best_gain:
+                    best_gain, best = gain, (f, where)
+        if best is None:
+            leaves.append((_sum(ys) / len(ys), *box))
+            return
+        f, where = best
+        col = cols[f]
+        left, right = boxes(f, where, *box)
+        if f in categorical:
+            small([r for r in rows if col[r] in where], depth + 1, left)
+            small([r for r in rows if col[r] not in where], depth + 1, right)
+        else:
+            small([r for r in rows if col[r] <= where], depth + 1, left)
+            small([r for r in rows if not col[r] <= where], depth + 1, right)
+
+    def build(idx: np.ndarray, ranked: np.ndarray, depth: int, box: tuple) -> None:
         # idx: the node's rows in ascending order; ranked[f]: the same rows
         # ordered by (X[row, f], row), i.e. the presorted column filtered by
         # membership, which is what a per-node stable argsort would give
         if idx.size <= _SCALAR_ROWS:
-            return _fit_small(X[idx].T.tolist(), y[idx].tolist(), depth,
-                              categorical, max_depth, n_candidates, rng)
+            small(idx.tolist(), depth, box)
+            return
         ys = y[idx]
         if depth >= max_depth or ys.max() == ys.min():
-            return _Node(_LEAF, value=float(ys.mean()))
-        features = rng.choice(d, size=min(n_candidates, d), replace=False)
+            leaves.append((float(ys.mean()), *box))
+            return
+        features = np.array(choice(d, size))
         rows = ranked[features]
         xs = X[rows, features[:, None]]
         ys_sorted = y[rows]
@@ -281,82 +315,45 @@ def _fit_tree(
                 gain, subset = _best_categorical_split(
                     xs[i].tolist(), ys_sorted[i].tolist())
                 if gain > best_gain:
-                    best_gain, best = gain, (_CATEGORICAL_SPLIT, f, subset)
+                    best_gain, best = gain, (f, subset)
             elif gains[i] > best_gain:
-                best_gain, best = gains[i], (_NUMERIC_SPLIT, f, thresholds[i])
+                best_gain, best = gains[i], (f, thresholds[i])
         if best is None:
-            return _Node(_LEAF, value=float(ys.mean()))
-        kind, f, where = best
-        if kind == _NUMERIC_SPLIT:
-            mask = X[idx, f] <= where
-        else:
-            mask = np.isin(X[idx, f], list(where))
+            leaves.append((float(ys.mean()), *box))
+            return
+        f, where = best
+        mask = np.isin(X[idx, f], list(where)) if f in categorical else X[idx, f] <= where
+        left, right = boxes(f, where, *box)
         side[idx] = mask
         goes_left = side[ranked]
         n_left = int(np.count_nonzero(mask))
-        left = build(idx[mask], ranked[goes_left].reshape(d, n_left), depth + 1)
-        right = build(idx[~mask], ranked[~goes_left].reshape(d, idx.size - n_left),
-                      depth + 1)
-        if kind == _NUMERIC_SPLIT:
-            return _Node(kind, f, threshold=where, left=left, right=right)
-        return _Node(kind, f, subset=where, left=left, right=right)
+        build(idx[mask], ranked[goes_left].reshape(d, n_left), depth + 1, left)
+        build(idx[~mask], ranked[~goes_left].reshape(d, idx.size - n_left),
+              depth + 1, right)
 
-    return build(np.arange(n), np.argsort(X.T, axis=1, kind="stable"), 0)
-
-
-def _collect_leaves(
-    root: _Node, d: int, categorical: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """Leaf values and boxes, depth first with the left child first: per
-    leaf, the [lo, hi) interval of every feature (unused on categorical
-    ones) and, per categorical feature, a (leaves, categories) boolean
-    array of the categories each leaf admits."""
-    lo, hi = [0.0] * d, [1.0] * d
-    admitted = {f: np.ones(k, dtype=bool) for f, k in categorical.items()}
-    values: list[float] = []
-    los: list[list[float]] = []
-    his: list[list[float]] = []
-    members: dict[int, list[np.ndarray]] = {f: [] for f in categorical}
-
-    def walk(node: _Node) -> None:
-        if node.kind == _LEAF:
-            values.append(node.value)
-            los.append(lo.copy())
-            his.append(hi.copy())
-            # admitted arrays are replaced, never written, so sharing is safe
-            for f, row in admitted.items():
-                members[f].append(row)
-            return
-        f = node.feature
-        if node.kind == _NUMERIC_SPLIT:
-            saved_lo, saved_hi = lo[f], hi[f]
-            hi[f] = min(saved_hi, node.threshold)
-            walk(node.left)
-            hi[f] = saved_hi
-            lo[f] = max(saved_lo, node.threshold)
-            walk(node.right)
-            lo[f] = saved_lo
-        else:
-            saved = admitted[f]
-            subset = np.zeros(categorical[f], dtype=bool)
-            subset[list(node.subset)] = True
-            admitted[f] = saved & subset
-            walk(node.left)
-            admitted[f] = saved & ~subset
-            walk(node.right)
-            admitted[f] = saved
-
-    walk(root)
-    return (np.array(values), np.array(los), np.array(his),
-            {f: np.array(rows) for f, rows in members.items()})
+    build(np.arange(n), np.argsort(X.T, axis=1, kind="stable"), 0,
+          ((0.0,) * d, (1.0,) * d, (1 << sum(categorical.values())) - 1))
+    # the recursive closures refer to themselves: break those cycles, so the
+    # tree's lists are freed now rather than by a later garbage collection
+    del build, small
+    return leaves
 
 
-def _tree_marginal_variances(
-    root: _Node, d: int, categorical: dict[int, int]
-) -> tuple[float, np.ndarray]:
-    """Total variance of the tree's function under the uniform measure, and
-    each feature's first-order marginal variance."""
-    values, los, his, members = _collect_leaves(root, d, categorical)
+def _tree_marginal_variances(leaves: list[_Leaf], d: int,
+                             categorical: dict[int, int]) -> tuple[float, np.ndarray]:
+    """Total variance of a tree's function under the uniform measure, and
+    each feature's first-order marginal variance, from its leaves."""
+    values, los, his, admitted = zip(*leaves)
+    los, his = (np.fromiter(chain.from_iterable(b), float).reshape(-1, d) for b in (los, his))
+    values = np.array(values)
+    # per categorical feature, a (leaves, categories) array of admitted ones;
+    # a mask may pass 64 bits, so it is unpacked from its bytes
+    width = sum(categorical.values()) // 8 + 1
+    raw = b"".join([m.to_bytes(width, "little") for m in admitted])
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1,
+                         bitorder="little").astype(bool)
+    starts = accumulate(categorical.values(), initial=0)
+    members = {f: bits[:, a:a + k] for (f, k), a in zip(categorical.items(), starts)}
     widths = his - los
     sizes = np.where(widths < 0.0, 0.0, widths)
     for f, member in members.items():
@@ -365,11 +362,11 @@ def _tree_marginal_variances(
     mean = float(volumes @ values)
     total_var = float(volumes @ values**2) - mean**2
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(sizes > 0, volumes[:, None] / sizes, 0.0)
+    wvs = (weights * values[:, None]).T.copy()  # row f: weight on f times value
     marginals = np.zeros(d)
-    for f in range(d):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights = np.where(sizes[:, f] > 0, volumes / sizes[:, f], 0.0)
-        wv = weights * values
+    for f, wv in enumerate(wvs):
         if f in members:
             m = wv @ members[f]
             marginals[f] = float(np.mean((m - mean) ** 2))
@@ -432,9 +429,12 @@ def fanova_first_order(
     ``.mean()`` as numpy's pairwise sum (sequential below 8 numbers, 8
     accumulators up to 128, halves added pairwise above); the node term
     ``total**2 / n`` through C ``pow``; each cut's squares as products, as
-    numpy squares an array. It draws each node's candidates from ``rng`` at
-    the same point, depth first, so the random stream does not change
-    either.
+    numpy squares an array. It draws each node's candidates at the same
+    point, depth first, so the random stream does not change either.
+
+    The bootstrap and every node's candidates are drawn by :class:`_Draws`,
+    which gives what ``Generator`` draws from the same seed give. Each
+    child is handed its box, so the leaves come out with theirs.
     """
     if trees < 1 or seed < 0:
         raise ForestSettingsError(f"need trees >= 1 and seed >= 0, got {trees}, {seed}")
@@ -446,16 +446,15 @@ def fanova_first_order(
         zeros = {n: 0.0 for n in names}
         return ImportanceReport(dict(zeros), dict(zeros))
 
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed).bit_generator.random_raw)
     n_candidates = max(1, math.ceil(math.sqrt(d)))
     fractions = np.zeros((trees, d))
     used = np.zeros(trees, dtype=bool)
     for t in range(trees):
-        bootstrap = rng.integers(len(y), size=len(y))
-        root = _fit_tree(
-            X[bootstrap], y[bootstrap], categorical, max_depth, n_candidates, rng
-        )
-        total_var, marginals = _tree_marginal_variances(root, d, categorical)
+        bootstrap = draws.integers(len(y), len(y))
+        leaves = _fit_tree(X[bootstrap], y[bootstrap], categorical, max_depth,
+                           n_candidates, draws)
+        total_var, marginals = _tree_marginal_variances(leaves, d, categorical)
         if total_var > 0.0:
             fractions[t] = marginals / total_var
             used[t] = True

@@ -193,25 +193,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     ladder = budget_ladder(
         manifest["min_budget"], manifest["max_budget"], manifest["eta"]
     )
-    # written before the first seed, so every finished seed can be reported
-    # on even if a later one fails
-    record = dict(manifest)
-    record["resolved_space"] = cs.space_to_dict(space)
-    problem = None
-    if manifest["problem"] == "synthetic":
-        problem = _build_problem(manifest, space, ladder)
-        record["resolved_problem"] = problem.to_dict()
-    out_root = Path(manifest["out"])
-    out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    for seed in manifest["seeds"]:
-        # synthetic and replay problems are immutable and serve every seed;
-        # an external evaluator is closed after each seed, so it is rebuilt
-        if problem is None or isinstance(problem, ExternalEvaluator):
-            problem = _build_problem(manifest, space, ladder)
-        try:
+    # built before --out is made, so a problem's own checks come first; one
+    # problem serves every seed
+    problem = _build_problem(manifest, space, ladder)
+    try:
+        # written before the first seed, so every finished seed can be
+        # reported on even if a later one fails
+        record = dict(manifest)
+        record["resolved_space"] = cs.space_to_dict(space)
+        if manifest["problem"] == "synthetic":
+            record["resolved_problem"] = problem.to_dict()
+        out_root = Path(manifest["out"])
+        out_root.mkdir(parents=True, exist_ok=True)
+        with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
+            json.dump(record, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        for seed in manifest["seeds"]:
             result = priorband.run(
                 space,
                 problem,
@@ -222,12 +219,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                 seed=seed,
                 workers=manifest["workers"],
             )
-        finally:
             if isinstance(problem, ExternalEvaluator):
-                problem.close()
-        analysis.export_reports(
-            result, out_root / f"seed_{seed}", importance=manifest["importance"]
-        )
+                problem.close()  # the next seed starts a fresh child
+            analysis.export_reports(
+                result, out_root / f"seed_{seed}", importance=manifest["importance"]
+            )
+    finally:
+        if isinstance(problem, ExternalEvaluator):
+            problem.close()
     return EXIT_OK
 
 
@@ -293,13 +292,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.report_action == "pareto":
         _, _, _, history = _load_run(Path(args.run), args.seed_dir)
-        configs = history.configurations()
-        front = [(configs[cid], cost) for cid, cost in history.pareto_entries()]
-        result = priorband.RunResult(
-            history, priorband.final_incumbent(history), front, []
-        )
         out = Path(args.run) / args.seed_dir / "pareto.json"
-        analysis.write_pareto_json(result, out)
+        analysis.write_pareto_json(priorband.RunResult.of(history), out)
         print(out)
         return EXIT_OK
 

@@ -506,19 +506,9 @@ def serialize(derivation: Derivation) -> str:
     return _join_tokens(tokens)
 
 
-# a token, or (the error alternative) any other character but whitespace,
-# which the scan skips because neither alternative matches it
-_TOKEN = re.compile(r"([(),]|[A-Za-z0-9][A-Za-z0-9_.\-]*)|(\S)")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    for match in _TOKEN.finditer(text):
-        token = match[1]
-        if token is None:
-            raise ParseError(f"unexpected character {match[2]!r}", match.start())
-        tokens.append((token, match.start()))
-    return tokens
+# a token, or (the error alternative, whose group is empty) any other
+# character but whitespace, which the scan skips because neither matches it
+_TOKEN = re.compile(r"([(),]|[A-Za-z0-9][A-Za-z0-9_.\-]*)|\S")
 
 
 def parse(grammar: Grammar, text: str) -> Derivation:
@@ -527,46 +517,48 @@ def parse(grammar: Grammar, text: str) -> Derivation:
     Raises :class:`ParseError` for malformed input and
     :class:`NotInLanguageError` for well-formed strings the grammar cannot
     derive (e.g. a block count beyond the rule's cap).
+
+    The text is scanned once; token positions are found only to report an
+    error.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        stray = next(m for m in _TOKEN.finditer(text) if m[1] is None)
+        raise ParseError(f"unexpected character {stray[0]!r}", stray.start())
     if not tokens:
         raise ParseError("empty input", 0)
-    furthest = 0
+    prods, n = grammar.productions, len(tokens)
+    furthest = 0  # the furthest token an alternative failed at
 
     def match(nt: str, i: int) -> tuple[Derivation, int] | None:
         nonlocal furthest
-        for ai, alt in enumerate(grammar.productions[nt]):
+        for ai, alt in enumerate(prods[nt]):
             children: list = []
             j = i
-            ok = True
             for sym in alt:
-                if grammar.is_nonterminal(sym):
+                if sym in prods:
                     res = match(sym, j)
                     if res is None:
-                        ok = False
                         break
                     node, j = res
                     children.append(node)
+                elif j < n and tokens[j] == sym:
+                    children.append(sym)
+                    j += 1
                 else:
-                    if j < len(tokens) and tokens[j][0] == sym:
-                        children.append(sym)
-                        j += 1
-                    else:
-                        furthest = max(furthest, j)
-                        ok = False
-                        break
-            if ok:
+                    furthest = max(furthest, j)
+                    break
+            else:
                 return (nt, ai, tuple(children)), j
         return None
 
     result = match(grammar.start, 0)
+    if result is not None and result[1] == n:
+        return result[0]
+    positions = [m.start() for m in _TOKEN.finditer(text)]
     if result is None:
-        pos = tokens[min(furthest, len(tokens) - 1)][1]
-        raise NotInLanguageError("no derivation matches", pos)
-    node, end = result
-    if end != len(tokens):
-        raise NotInLanguageError("trailing input", tokens[end][1])
-    return node
+        raise NotInLanguageError("no derivation matches", positions[min(furthest, n - 1)])
+    raise NotInLanguageError("trailing input", positions[result[1]])
 
 
 # feature extraction

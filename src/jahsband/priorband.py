@@ -209,6 +209,16 @@ class RunResult:
     pareto_front: list[tuple[Configuration, CostVector]]
     weight_traces: list[tuple[int, SamplerWeights]]
 
+    @classmethod
+    def of(cls, history: RunHistory,
+           weight_traces: list[tuple[int, SamplerWeights]] | None = None) -> "RunResult":
+        """The result a finished history holds: its incumbent, None when no
+        top-budget trial completed, and its Pareto front."""
+        configs = history.configurations()
+        front = [(configs[cid], cost) for cid, cost in history.pareto_entries()]
+        incumbent = final_incumbent(history) if history.max_budget_trials() else None
+        return cls(history, incumbent, front, weight_traces or [])
+
 
 def _eval_seed(run_seed: int, config_id: int, rung: int) -> int:
     ss = np.random.SeedSequence([run_seed, config_id, rung])
@@ -349,16 +359,7 @@ def run(
         if pool is not None:
             pool.shutdown(wait=True)
 
-    configs = history.configurations()
-    front = [(configs[cid], cost) for cid, cost in history.pareto_entries()]
-    return RunResult(
-        history=history,
-        final_incumbent=final_incumbent(history)
-        if history.max_budget_trials()
-        else None,
-        pareto_front=front,
-        weight_traces=weight_traces,
-    )
+    return RunResult.of(history, weight_traces)
 
 
 # history persistence: the one writer and the one reader of history.csv

@@ -13,6 +13,7 @@ from jahsband.analysis import (
     _SCALAR_ROWS,
     InsufficientDataError,
     SpaceMismatchError,
+    _Draws,
     _best_categorical_split,
     _best_numeric_split,
     _best_numeric_splits,
@@ -258,6 +259,25 @@ class TestFanovaMatchesOracle:
         assert_matches_oracle(grammar_space_history(), trees=8, seed=0,
                               max_depth=12)
 
+    @pytest.mark.parametrize("ks", [[64], [40, 24], [70], [33, 37]])
+    def test_categories_past_64_bits(self, ks):
+        # a leaf's admitted categories of all features fill 64 bits or more
+        specs = [cs.ParameterSpec("x", "float", lo=0.0, hi=1.0, default=0.5)]
+        specs += [cs.ParameterSpec(f"c{i}", "categorical",
+                                   values=tuple(f"v{j}" for j in range(k)),
+                                   default="v0")
+                  for i, k in enumerate(ks)]
+        rng = np.random.default_rng(sum(ks))
+        rows = []
+        for _ in range(300):
+            codes = [int(rng.integers(k)) for k in ks]
+            config = cs.Configuration({
+                "x": float(rng.uniform()),
+                **{f"c{i}": f"v{c}" for i, c in enumerate(codes)}})
+            rows.append((config, float(sum(c % 5 for c in codes) + rng.normal()), 1.0))
+        assert_matches_oracle(history_from_table(cs.build_space(specs), rows),
+                              trees=4, seed=0, max_depth=12)
+
 
 class TestCrossEval:
     def make_problems(self):
@@ -362,3 +382,62 @@ class TestExports:
         assert (tmp_path / "importance.json").exists()
         payload = json.loads((tmp_path / "importance.json").read_text())
         assert set(payload) == {"p0", "p1", "p2"}
+
+
+def generator_calls():
+    """A call of ``integers(n, size=m)`` or ``choice(d, size=k,
+    replace=False)``, as (name, n or d, m or k)."""
+    integers = st.tuples(st.just("integers"), st.integers(1, 600), st.integers(0, 40))
+    choice = st.integers(1, 40).flatmap(
+        lambda d: st.tuples(st.just("choice"), st.just(d), st.integers(1, d)))
+    return integers | choice
+
+
+def call(source, name, a, b):
+    if isinstance(source, _Draws):
+        return getattr(source, name)(a, b)
+    if name == "integers":
+        return source.integers(a, size=b).tolist()
+    return source.choice(a, size=b, replace=False).tolist()
+
+
+class TestDraws:
+    """The forest's draws, taken from raw PCG64 words, equal those of
+    ``np.random.default_rng(seed)``, and leave the stream at the same
+    point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(generator_calls(), max_size=60))
+    def test_interleaved_calls_match_generator(self, seed, calls):
+        rng = np.random.default_rng(seed)
+        draws = _Draws(np.random.default_rng(seed).bit_generator.random_raw)
+        for name, a, b in calls + [("integers", 2**31 + 1, 3)]:
+            assert call(draws, name, a, b) == call(rng, name, a, b)
+
+    @pytest.mark.parametrize("name, a, b", [
+        ("integers", 1, 5), ("integers", 1, 0), ("choice", 1, 1), ("choice", 2, 2)])
+    def test_a_single_value_draws_nothing(self, name, a, b):
+        rng = np.random.default_rng(7)
+        draws = _Draws(np.random.default_rng(7).bit_generator.random_raw)
+        assert call(draws, name, a, b) == call(rng, name, a, b)
+        assert draws.integers(600, 4) == rng.integers(600, size=4).tolist()
+
+    def test_rejection_matches_generator(self):
+        # below 2**31 + 1 about half of all draws are rejected and redrawn
+        rng = np.random.default_rng(3)
+        draws = _Draws(np.random.default_rng(3).bit_generator.random_raw)
+        for _ in range(4):
+            assert draws.integers(2**31 + 1, 64) == rng.integers(2**31 + 1, size=64).tolist()
+            assert draws.choice(17, 5) == rng.choice(17, size=5, replace=False).tolist()
+
+    def test_rejection_from_crafted_words(self):
+        # a draw below 3 rejects a half whose product with 3 leaves a low
+        # half under 2**32 % 3 == 1, i.e. a half of 0, and redraws; halves
+        # are taken low first: 0 (rejected), 0xFFFFFFFF -> 2; then 0
+        # (rejected), 1 -> 0; then 0x55555556 -> 1, whose low half 2 is
+        # under 3 but not under 1, so it stands
+        words = np.array([0xFFFFFFFF_00000000, 0x00000001_00000000, 0x55555556],
+                         dtype=np.uint64)
+        draws = _Draws(lambda n: words)
+        assert draws.choice(3, 1) == [2]
+        assert draws.integers(3, 2) == [0, 1]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import jahsband
 from jahsband import analysis, cli, grammar as hg, priorband
 from jahsband.cli import main
+from jahsband.harness import EvaluationFailed, ExternalEvaluator
 
 SPACES_DIR = Path(__file__).resolve().parents[1] / "spaces"
 SPACE = str(SPACES_DIR / "jahs_table3_4.json")
@@ -137,6 +139,38 @@ class TestRun:
         blocker.write_text("a file, not a directory")
         rc = run_cli(*small_run_args(blocker / "nested"))
         assert rc == 4
+
+    def test_unwritable_output_closes_the_external_child(self, tmp_path, monkeypatch):
+        # the evaluator is built before --out is made; a child that waits
+        # for stdin to close must be stopped when --out cannot be made
+        spawned = []
+        spawn = ExternalEvaluator._spawn
+        monkeypatch.setattr(ExternalEvaluator, "_spawn",
+                            lambda self: spawned.append(spawn(self)) or spawned[-1])
+        blocker = tmp_path / "occupied"
+        blocker.write_text("a file, not a directory")
+        child = f"{shlex.quote(sys.executable)} -c 'import sys; sys.stdin.read()'"
+        rc = run_cli(*small_run_args(blocker / "nested"),
+                     "--problem", "external", "--external-cmd", child)
+        assert rc == 4
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+
+    def test_external_child_per_seed(self, tmp_path, monkeypatch):
+        # one evaluator serves every seed and closes its child after each,
+        # so a seed's history does not depend on the seeds before it
+        spawned = []
+        spawn = ExternalEvaluator._spawn
+        monkeypatch.setattr(ExternalEvaluator, "_spawn",
+                            lambda self: spawned.append(spawn(self)) or spawned[-1])
+        stub = Path(__file__).with_name("fault_stub.py")
+        child = shlex.join([sys.executable, "-S", str(stub),
+                            json.dumps({"salt": 0, "shares": {}}), str(tmp_path / "beat")])
+        external = ["--problem", "external", "--external-cmd", child]
+        assert run_cli(*small_run_args(tmp_path / "both", seed="0,1"), *external) == 0
+        assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+        assert run_cli(*small_run_args(tmp_path / "one", seed="1"), *external) == 0
+        assert (tmp_path / "both" / "seed_1" / "history.csv").read_bytes() == \
+            (tmp_path / "one" / "seed_1" / "history.csv").read_bytes()
 
     def test_replay_problem(self, tmp_path):
         out = tmp_path / "base"
@@ -323,6 +357,23 @@ class TestReportCommand:
         assert run_cli("report", "pareto", "--run", str(out)) == 0
         assert (out / "seed_0" / "pareto.json").read_bytes() == original
 
+    def test_pareto_without_completed_top_budget_trial(self, tmp_path, monkeypatch):
+        """Every top-budget trial fails, the default configuration's too, so
+        the run has no incumbent; the report still writes the run's bytes."""
+        build = cli._build_problem
+        monkeypatch.setattr(cli, "_build_problem", lambda *a: FailAtTopBudget(build(*a)))
+        out = tmp_path / "run"
+        assert run_cli(*small_run_args(out)) == 0
+        with open(out / "seed_0" / "history.csv", newline="") as fh:
+            top = [r for r in csv.DictReader(fh) if r["budget_epochs"] == "27"]
+        assert "default" in {r["strategy"] for r in top}
+        assert top and {r["status"] for r in top} == {"failed"}
+        original = (out / "seed_0" / "pareto.json").read_bytes()
+        (out / "seed_0" / "pareto.json").unlink()
+        assert run_cli("report", "pareto", "--run", str(out)) == 0
+        assert (out / "seed_0" / "pareto.json").read_bytes() == original
+        assert run_cli("report", "importance", "--run", str(out), "--trees", "4") == 0
+
     def test_crosseval_3x3(self, tmp_path):
         runs = [self.make_run(tmp_path, s) for s in ("0", "1", "2")]
         target = tmp_path / "crosseval.csv"
@@ -380,6 +431,22 @@ class TestReportCommand:
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+class FailAtTopBudget:
+    """A problem whose every evaluation at the top budget fails."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.space = inner.space
+
+    def evaluate(self, config, budget, seed=0, previous_budget=None):
+        if budget == self.inner.b_max:
+            raise EvaluationFailed("no top-budget result")
+        return self.inner.evaluate(config, budget, seed, previous_budget)
+
+    def to_dict(self):
+        return self.inner.to_dict()
 
 
 def _nan_cost_run(tmp, run):
@@ -445,12 +512,6 @@ INPUT_ERRORS = {
     "non-finite cost": lambda tmp, run: ["report", "pareto", "--run", _nan_cost_run(tmp, run)],
 }
 
-#: run input errors found only when the external evaluator is built, after
-#: the manifest is written; every other case leaves ``--out`` unmade
-FOUND_AFTER_MANIFEST = {
-    "unbalanced external command", "zero external timeout", "manifest external timeout",
-}
-
 #: manifest values of the wrong type, each once an exit 1 or a silent run
 WRONG_TYPES = [
     ({"eta": "x"}, "eta"),
@@ -479,8 +540,7 @@ class TestErrorExits:
             (run / name).write_bytes((finished_run / name).read_bytes())
         assert run_cli(*INPUT_ERRORS[case](tmp_path, run)) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        if case not in FOUND_AFTER_MANIFEST:
-            assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists()
 
     @staticmethod
     def _manifest_only_run(tmp, payload):

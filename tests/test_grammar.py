@@ -288,6 +288,40 @@ def mutated_strings(draw):
     return g, text[:at] + char + text[at + (how == "replace"):]
 
 
+TERMINALS = ["a", "b", "c", "(", ","]
+
+
+@st.composite
+def grammar_texts(draw):
+    """(grammar, text): a grammar whose rule i names only the rules after
+    it (so none is left-recursive), and a sentence it derives with up to
+    two tokens dropped, inserted or replaced, or any string of tokens."""
+    names = [f"R{i}" for i in range(draw(st.integers(1, 4)))]
+    productions = {
+        name: tuple(draw(st.lists(
+            st.lists(st.sampled_from(TERMINALS + names[i + 1:]), max_size=3).map(tuple),
+            min_size=1, max_size=4)))
+        for i, name in enumerate(names)}
+    g = hg.Grammar(productions, start="R0")
+
+    def derive(symbol):
+        if symbol not in productions:
+            return [symbol]
+        alt = draw(st.sampled_from(productions[symbol]))
+        return [token for s in alt for token in derive(s)]
+
+    if draw(st.booleans()):
+        tokens = derive("R0")
+    else:
+        tokens = draw(st.lists(st.sampled_from(TERMINALS), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        how = draw(st.sampled_from(["drop", "insert", "replace"]))
+        token = [draw(st.sampled_from(TERMINALS))] if how != "drop" else []
+        tokens = tokens[:at] + token + tokens[at + (how != "insert"):]
+    return g, " ".join(tokens)
+
+
 def parse_outcome(parse, g, text):
     try:
         return "derivation", parse(g, text)
@@ -313,6 +347,15 @@ class TestParseProperties:
     @pytest.mark.parametrize("text", ["", "   ", "\u00a0", "%", " ,", "U-Net(%)"])
     def test_edge_strings_fail_as_before(self, text):
         g = cached_grammar(2, 1)
+        assert parse_outcome(hg.parse, g, text) == parse_outcome(oracle.parse, g, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grammar_texts())
+    def test_any_grammar_parses_as_before(self, case):
+        """Grammars with empty alternatives, alternatives that share a first
+        token or begin with a rule, and texts that end early: the same
+        outcome as the frozen parser, which tries every alternative."""
+        g, text = case
         assert parse_outcome(hg.parse, g, text) == parse_outcome(oracle.parse, g, text)
 
 
