@@ -554,7 +554,7 @@ def write_incumbent_trajectory(history: RunHistory, path: str | Path) -> None:
         best: float | None = None
         for i, t in enumerate(history.trials):
             charged += t.charged_epochs
-            if t.status == "ok" and t.cost is not None and t.budget == history.b_max:
+            if t.cost is not None and t.budget == history.b_max:
                 best = t.cost.primary if best is None else min(best, t.cost.primary)
             writer.writerow([i, charged, repr(best) if best is not None else ""])
 

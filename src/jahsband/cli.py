@@ -149,6 +149,8 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
     all_seeds = [*resolved["seeds"], resolved["problem_seed"]]
     if not all(type(s) is int and s >= 0 for s in all_seeds):
         raise ManifestError(f"seeds must be integers >= 0, got {all_seeds}")
+    if resolved["workers"] < 1:
+        raise ManifestError(f"workers must be >= 1, got {resolved['workers']}")
     for key, choices in _RUN_CHOICES.items():
         if resolved[key] not in choices:
             raise ManifestError(f"{key} must be one of {choices}, got {resolved[key]!r}")

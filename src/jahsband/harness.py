@@ -308,8 +308,7 @@ class ReplayProblem:
         (configuration, budget) wins."""
         table: dict[tuple[str, int], CostVector | None] = {}
         for t in history.trials:
-            cost = t.cost if t.status == "ok" else None
-            table.setdefault((config_key(t.configuration), t.budget), cost)
+            table.setdefault((config_key(t.configuration), t.budget), t.cost)
         return cls(history.space, table)
 
     def evaluate(

@@ -82,7 +82,7 @@ class RunHistory:
     def add(self, trial: Trial) -> None:
         self.trials.append(trial)
         self._configs[trial.config_id] = trial.configuration
-        if trial.status != "ok" or trial.cost is None:
+        if trial.cost is None:
             return
         best = self._best.get(trial.config_id)
         if best is None or trial.budget > best.budget:
@@ -102,11 +102,7 @@ class RunHistory:
         return [(cid, self._best[cid].cost) for cid in sorted(self._best)]
 
     def max_budget_trials(self) -> list[Trial]:
-        return [
-            t
-            for t in self.trials
-            if t.status == "ok" and t.cost is not None and t.budget == self.b_max
-        ]
+        return [t for t in self.trials if t.cost is not None and t.budget == self.b_max]
 
     def pareto_entries(self) -> list[tuple[int, CostVector]]:
         """Non-dominated (config_id, cost) pairs over highest-budget costs."""
@@ -246,6 +242,8 @@ def run(
     """
     if mode not in ("priorband", "regularized"):
         raise ValueError(f"unknown mode {mode!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if getattr(problem, "space", space) is not space and getattr(
         problem, "space"
     ).names != space.names:
@@ -265,30 +263,25 @@ def run(
         def one(member: tuple[int, Configuration, str]) -> Trial:
             cid, config, strategy = member
             eval_seed = _eval_seed(seed, cid, rung)
-            trial = Trial(
+            try:
+                objectives = problem.evaluate(
+                    config, budget, seed=eval_seed, previous_budget=previous_budget
+                )
+            except EvaluationFailed:
+                objectives = CostVector(math.nan, math.nan)
+            primary, runtime = objectives.primary, objectives.runtime_hours
+            # NaN fails both comparisons, so a failed evaluation has no cost
+            in_range = 0.0 <= primary <= 1.0 and 0.0 <= runtime < math.inf
+            return Trial(
                 config_id=cid,
                 configuration=config,
                 bracket=bracket_s,
                 rung=rung,
                 budget=budget,
                 strategy=strategy,
-                seed=eval_seed,
+                cost=CostVector(primary, runtime) if in_range else None,
                 previous_budget=previous_budget,
             )
-            try:
-                objectives = problem.evaluate(
-                    config, budget, seed=eval_seed, previous_budget=previous_budget
-                )
-            except EvaluationFailed:
-                trial.status = "failed"
-                return trial
-            primary, runtime = objectives.primary, objectives.runtime_hours
-            # NaN fails both comparisons
-            if 0.0 <= primary <= 1.0 and 0.0 <= runtime < math.inf:
-                trial.cost = CostVector(primary, runtime)
-            else:
-                trial.status = "failed"
-            return trial
 
         if pool is not None:
             return list(pool.map(one, members))
@@ -340,7 +333,7 @@ def run(
                     history.add(trial)
                 if offset + 1 < len(bracket.rung_counts):
                     k = bracket.rung_counts[offset + 1]
-                    ok = [i for i, t in enumerate(trials) if t.status == "ok"]
+                    ok = [i for i, t in enumerate(trials) if t.cost is not None]
                     if not ok:
                         alive = []
                         break
@@ -411,11 +404,11 @@ def write_history_csv(history: RunHistory, path: str | Path) -> None:
 def read_history_csv(
     path: str | Path, space: SearchSpace, ladder: BudgetLadder
 ) -> RunHistory:
-    """Inverse of :func:`write_history_csv`. Each trial's seed is derived
-    from the run seed, config id and rung, exactly as :func:`run` derives
-    it. A missing column, or a row with a field that does not parse (a row
-    cut short, an architecture the space cannot parse, a status other than
-    ``ok`` with both costs or ``failed`` without them), raises
+    """Inverse of :func:`write_history_csv`. A missing column, or a row that
+    no run writes (a row cut short, an architecture the space cannot parse,
+    a status other than ``ok`` with both costs or ``failed`` without them,
+    another run seed than the first row's, a cumulative charge that grows
+    by 0 or less or by more than the row's budget), raises
     :class:`~jahsband.harness.MalformedRowError` naming the line."""
     history: RunHistory | None = None
     prev_charged = 0
@@ -434,6 +427,8 @@ def read_history_csv(
                     raise ValueError("row does not have one field per column")
                 if history is None:
                     history = RunHistory(space, ladder, run_seed=int(row["run_seed"]))
+                elif int(row["run_seed"]) != history.run_seed:
+                    raise ValueError(f"run_seed {row['run_seed']!r}, not {history.run_seed}")
                 derivation = None
                 arch = row["serialized_architecture"]
                 if arch:
@@ -446,7 +441,9 @@ def read_history_csv(
                 if not isinstance(assignments, dict):
                     raise ValueError("serialized_config is not a JSON object")
                 budget = int(row["budget_epochs"])
-                charged = int(row["charged_epochs_cumulative"])
+                delta = int(row["charged_epochs_cumulative"]) - prev_charged
+                if not 0 < delta <= budget:
+                    raise ValueError(f"charged {delta} epochs at budget {budget}")
                 status = row["status"]
                 if status == "ok":
                     cost = CostVector(
@@ -464,8 +461,7 @@ def read_history_csv(
                 bracket = int(row["bracket"])
             except ValueError as exc:
                 raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
-            delta = charged - prev_charged
-            prev_charged = charged
+            prev_charged += delta
             history.add(
                 Trial(
                     config_id=config_id,
@@ -474,10 +470,8 @@ def read_history_csv(
                     rung=rung,
                     budget=budget,
                     strategy=row["strategy"],
-                    seed=_eval_seed(history.run_seed, config_id, rung),
                     cost=cost,
                     previous_budget=budget - delta if delta != budget else None,
-                    status=status,
                 )
             )
     if history is None:

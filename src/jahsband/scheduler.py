@@ -10,7 +10,7 @@ initial count formula; both share identical rung mechanics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from .configspace import Configuration, _round_half_up
 from .moo import CostVector
@@ -162,10 +162,13 @@ class Trial:
     rung: int
     budget: int
     strategy: str  # random | prior | incumbent | default
-    seed: int
-    cost: CostVector | None = None
+    _: KW_ONLY
+    cost: CostVector | None = None  # None when the evaluation failed
     previous_budget: int | None = None
-    status: str = "ok"  # ok | failed
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.cost is not None else "failed"
 
     @property
     def charged_epochs(self) -> int:

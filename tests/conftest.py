@@ -61,7 +61,6 @@ def history_from_table(space, rows, b_max: int = 1000, eta: int = 3):
                 rung=ladder.s_max,
                 budget=b_max,
                 strategy="random",
-                seed=0,
                 cost=CostVector(primary, runtime),
             )
         )

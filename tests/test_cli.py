@@ -185,13 +185,16 @@ class TestRun:
     def test_replay_reads_history_once(self, tmp_path, monkeypatch):
         base = tmp_path / "base"
         assert run_cli(*small_run_args(base, seed="0,1,2")) == 0
-        # one table holding all three seeds' rows, so every seed replays
-        lines = []
+        # one history holding all three seeds' trials, so every seed replays;
+        # it is written as one run's, since the reader rejects a second seed
+        space, ladder = jahsband.load_space(SPACE), jahsband.budget_ladder(3, 27, 3)
+        merged = priorband.RunHistory(space, ladder)
         for k in range(3):
-            rows = (base / f"seed_{k}" / "history.csv").read_text().splitlines()
-            lines += rows if k == 0 else rows[1:]
+            history_k = base / f"seed_{k}" / "history.csv"
+            for trial in priorband.read_history_csv(history_k, space, ladder).trials:
+                merged.add(trial)
         table = tmp_path / "all.csv"
-        table.write_text("\n".join(lines) + "\n")
+        priorband.write_history_csv(merged, table)
         for k in range(3):
             assert run_cli(*replay_args(table, tmp_path / f"alone_{k}", seed=str(k))) == 0
         reads = []
@@ -476,6 +479,8 @@ INPUT_ERRORS = {
     "zero curvature": lambda tmp, run: small_run_args(tmp / "o") + ["--curvature", "0"],
     "negative problem seed":
         lambda tmp, run: small_run_args(tmp / "o") + ["--problem-seed", "-1"],
+    "zero workers": lambda tmp, run: small_run_args(tmp / "o") + ["--workers", "0"],
+    "negative workers": lambda tmp, run: small_run_args(tmp / "o") + ["--workers", "-2"],
     "manifest seed": lambda tmp, run: _manifest_run(tmp, {"seeds": [-1]}),
     "manifest mode": lambda tmp, run: _manifest_run(tmp, {"mode": "x"}),
     "manifest policy": lambda tmp, run: _manifest_run(tmp, {"policy": "x"}),

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shlex
@@ -325,14 +326,14 @@ class TestReplay:
     def test_single_row_lookup(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        trial = Trial(0, config, 0, 0, 9, "random", 0, cost=CostVector(0.5, 1.25))
+        trial = Trial(0, config, 0, 0, 9, "random", cost=CostVector(0.5, 1.25))
         path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay(path, space)
         assert problem.evaluate(config, 9) == CostVector(0.5, 1.25)
     def test_missing_budget(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        trial = Trial(0, config, 0, 0, 9, "random", 0, cost=CostVector(0.5, 1.0))
+        trial = Trial(0, config, 0, 0, 9, "random", cost=CostVector(0.5, 1.0))
         path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay(path, space)
         with pytest.raises(MissingEntryError):
@@ -344,8 +345,8 @@ class TestReplay:
         failed = cs.Configuration({"p0": 0.25})
         ok = cs.Configuration({"p0": 0.75})
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(1, failed, 0, 0, 3, "random", 0, status="failed"),
-            Trial(2, ok, 0, 0, 3, "random", 0, cost=CostVector(0.5, 1.0)),
+            Trial(1, failed, 0, 0, 3, "random"),
+            Trial(2, ok, 0, 0, 3, "random", cost=CostVector(0.5, 1.0)),
         ])
         problem = replay(path, space)
         with pytest.raises(RecordedFailure) as info:
@@ -356,9 +357,9 @@ class TestReplay:
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(1, config, 0, 0, 3, "random", 0, cost=CostVector(0.5, 1.0)),
-            Trial(2, config, 0, 0, 3, "random", 0, status="failed"),
-            Trial(3, config, 0, 0, 3, "random", 0, cost=CostVector(0.1, 2.0)),
+            Trial(1, config, 0, 0, 3, "random", cost=CostVector(0.5, 1.0)),
+            Trial(2, config, 0, 0, 3, "random"),
+            Trial(3, config, 0, 0, 3, "random", cost=CostVector(0.1, 2.0)),
         ])
         assert replay(path, space).evaluate(config, 3) == CostVector(0.5, 1.0)
     def test_old_table_format_rejected(self, tmp_path):
@@ -371,7 +372,7 @@ class TestReplay:
             read_history_csv(path, float_space(1), LADDER)
     def test_malformed_row(self, tmp_path):
         space = float_space(1)
-        trial = Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random", 0,
+        trial = Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random",
                       cost=CostVector(0.5, 1.0))
         path = write_history(tmp_path / "history.csv", space, [trial])
         header, row = path.read_text().splitlines()
@@ -388,12 +389,33 @@ class TestReplay:
         # -1 drops only the (empty) architecture field's separator
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random", 0,
+            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ] * 2)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1] + [lines[-1][:cut]]) + "\n")
         with pytest.raises(MalformedRowError, match="line 3"):
+            read_history_csv(path, space, LADDER)
+    @pytest.mark.parametrize("column, value", [
+        ("run_seed", "x"),
+        ("run_seed", "7"),
+        ("charged_epochs_cumulative", "1"),  # falls by 5
+        ("charged_epochs_cumulative", "6"),  # grows by 0
+        ("charged_epochs_cumulative", "10"),  # grows by 4 at budget 3
+    ])
+    def test_row_no_run_writes(self, tmp_path, column, value):
+        space = float_space(1)
+        path = write_history(tmp_path / "history.csv", space, [
+            Trial(i, cs.Configuration({"p0": 0.25}), 0, 0, 3, "random",
+                  cost=CostVector(0.5, 1.0)) for i in range(3)
+        ])
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [r[header.index("charged_epochs_cumulative")] for r in rows] == ["3", "6", "9"]
+        rows[2][header.index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        with pytest.raises(MalformedRowError, match="line 4"):
             read_history_csv(path, space, LADDER)
     @pytest.mark.parametrize("old, new", [
         (",0.5,1.0,9,ok,", ",,1.0,9,ok,"),
@@ -406,7 +428,7 @@ class TestReplay:
     def test_field_does_not_parse(self, tmp_path, old, new):
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random", 0,
+            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ])
         text = path.read_text()
@@ -418,7 +440,7 @@ class TestReplay:
         space = cs.load_space(
             Path(__file__).resolve().parents[1] / "spaces" / "hnas_grammar.json")
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, space.default_configuration(), 0, 0, 9, "random", 0,
+            Trial(0, space.default_configuration(), 0, 0, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ])
         assert read_history_csv(path, space, LADDER).trials[0].configuration == (
@@ -440,7 +462,7 @@ class TestReplay:
             loaded = read_history_csv(path, space, LADDER)
         def fields(h):
             return [(t.config_id, t.configuration, t.budget, t.cost, t.status,
-                     t.previous_budget, t.seed) for t in h.trials]
+                     t.previous_budget) for t in h.trials]
         assert fields(loaded) == fields(history)
 class TestExternalEvaluator:
     def test_echo_objectives(self, tmp_path):
@@ -639,7 +661,7 @@ class TestFaultInjection:
                     with pytest.raises(FAULT_OUTCOMES[name]):
                         evaluator.evaluate(config, 3)
         assert_all_stopped(heartbeat, threads)
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @settings(max_examples=4, deadline=None)
     @given(schedule=FAULT_SCHEDULES, seed=st.integers(0, 99))
     def test_history_matches_in_process_twin(self, workers, schedule, seed):

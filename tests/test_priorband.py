@@ -22,6 +22,7 @@ from jahsband.priorband import (
     NoMaxBudgetTrialError,
     RunHistory,
     SamplerWeights,
+    _eval_seed,
     dynamic_weighting,
     final_incumbent,
     incumbent_for_sampling,
@@ -122,9 +123,7 @@ class TestRunHistoryViews:
                 rung=0,
                 budget=budget,
                 strategy="random",
-                seed=0,
                 cost=None if failed else CostVector(primary, runtime),
-                status="failed" if failed else "ok",
             ))
 
     def test_run_and_reloaded_history(self, tmp_path, monkeypatch):
@@ -150,7 +149,7 @@ class TestRunHistoryViews:
         first = cs.Configuration({"p0": 0.25})
 
         def add(config, budget):
-            history.add(Trial(3, config, 0, 0, budget, "random", 0,
+            history.add(Trial(3, config, 0, 0, budget, "random",
                               cost=CostVector(0.5, 1.0)))
 
         log_densities, scored = cs.log_densities, []
@@ -183,7 +182,7 @@ class TestRunHistoryViews:
         order = [first, first, second, first]
         history = RunHistory(space, budget_ladder(1, 27, 3))
         for budget, config in zip((1, 3, 9, 27), order):
-            history.add(Trial(3, config, 0, 0, budget, "random", 0,
+            history.add(Trial(3, config, 0, 0, budget, "random",
                               cost=CostVector(0.5, 1.0)))
         path = tmp_path / "history.csv"
         write_history_csv(history, path)
@@ -228,7 +227,7 @@ class TestSamplerWeights:
         history = RunHistory(space, ladder)
         default = space.default_configuration()
         history.add(Trial(0, default, -1, ladder.s_max, ladder.b_max,
-                          "default", 0, cost=CostVector(0.4, 1.0)))
+                          "default", cost=CostVector(0.4, 1.0)))
         w = sampler_weights(0, 3, history)
         assert w == SamplerWeights(0.5, 0.5, 0.0)
 
@@ -237,9 +236,9 @@ class TestSamplerWeights:
         history = RunHistory(space, ladder)
         default = space.default_configuration()
         history.add(Trial(0, default, -1, ladder.s_max, ladder.b_max,
-                          "default", 0, cost=CostVector(0.4, 1.0)))
+                          "default", cost=CostVector(0.4, 1.0)))
         history.add(Trial(1, cs.Configuration({f"p{i}": 0.2 for i in range(3)}),
-                          0, ladder.s_max, ladder.b_max, "random", 0,
+                          0, ladder.s_max, ladder.b_max, "random",
                           cost=CostVector(0.3, 1.0)))
         w = sampler_weights(1, 3, history)
         assert w.random == pytest.approx(0.25)
@@ -253,7 +252,7 @@ class TestDynamicWeighting:
         for cid, (values, primary) in enumerate(configs_costs):
             config = cs.Configuration({f"p{i}": v for i, v in enumerate(values)})
             history.add(Trial(cid, config, 0, ladder.s_max, ladder.b_max,
-                              "random", 0, cost=CostVector(primary, 1.0)))
+                              "random", cost=CostVector(primary, 1.0)))
         return space, history
 
     def test_identical_centers_split_evenly(self):
@@ -295,7 +294,7 @@ class TestDynamicWeighting:
         space, _, ladder = small_setup()
         history = RunHistory(space, ladder)
         history.add(Trial(0, space.default_configuration(), 0, 0, 1,
-                          "random", 0, cost=CostVector(0.5, 1.0)))
+                          "random", cost=CostVector(0.5, 1.0)))
         center = space.default_configuration()
         with pytest.raises(NoMaxBudgetTrialError):
             dynamic_weighting(history, center, center)
@@ -375,7 +374,7 @@ class TestIncumbents:
         space, _, ladder = small_setup()
         history = RunHistory(space, ladder)
         history.add(Trial(0, space.default_configuration(), 0, 0, 1,
-                          "random", 0, cost=CostVector(0.5, 1.0)))
+                          "random", cost=CostVector(0.5, 1.0)))
         with pytest.raises(NoMaxBudgetTrialError):
             final_incumbent(history)
 
@@ -403,6 +402,35 @@ class TestRun:
         write_history_csv(a.history, tmp_path / "a.csv")
         write_history_csv(b.history, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_evaluation_gets_its_trials_seed(self, workers):
+        # a trial does not store its seed, so record what the evaluator gets
+        space, problem, ladder = small_setup()
+        failing = FailAbove(problem, 0.75)
+        calls = []
+
+        class Recording:
+            def __init__(self):
+                self.space = space
+
+            def evaluate(self, config, budget, seed=0, previous_budget=None):
+                calls.append((id(config), budget, seed))
+                return failing.evaluate(config, budget, seed, previous_budget)
+
+        result = jb.run(space, Recording(), ladder, seed=6, workers=workers)
+        trials = result.history.trials
+        assert {t.status for t in trials} == {"ok", "failed"}
+        assert Counter(calls) == Counter(
+            (id(t.configuration), t.budget, _eval_seed(6, t.config_id, t.rung))
+            for t in trials
+        )
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        space, problem, ladder = small_setup()
+        with pytest.raises(ValueError, match="workers"):
+            jb.run(space, problem, ladder, workers=workers)
 
     def test_argmin_primary_always_promoted(self):
         space, problem, ladder = small_setup(size=("p2",))
@@ -544,7 +572,7 @@ class TestRun:
         write_history_csv(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_history_reload_restores_seeds_and_parses_once(
+    def test_history_reload_parses_each_architecture_once(
         self, tmp_path, monkeypatch
     ):
         space = cs.load_space({
@@ -568,9 +596,6 @@ class TestRun:
 
         monkeypatch.setattr(priorband, "parse", counting_parse)
         loaded = read_history_csv(path, space, ladder)
-        assert [t.seed for t in loaded.trials] == [
-            t.seed for t in result.history.trials]
-        assert len(set(t.seed for t in loaded.trials)) > 1
         assert set(parsed.values()) == {1}
         assert len(parsed) < len(loaded.trials)
 
