@@ -19,10 +19,10 @@ from jahsband import (
     sample_derivation,
     serialize,
 )
-from jahsband.grammar import grammar_text
 
 grammar = build_grammar(n_stages_max=4, model_scale_max=2)
-print(grammar_text(grammar))
+for lhs, alternatives in grammar.productions.items():
+    print(lhs, "::=", " | ".join(" ".join(tokens) for tokens in alternatives))
 print()
 
 print("total architectures:", count_derivations(grammar))

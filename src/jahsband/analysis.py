@@ -20,7 +20,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator
@@ -63,26 +63,83 @@ class ImportanceReport:
 # forest internals
 
 _MASK32 = 0xFFFFFFFF
-_WORDS = 64  # raw words read at a time: a tree takes a few thousand halves
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_BLOCK = 512  # PCG64 words stepped at a time: a tree takes a few thousand
+
+
+def _hashmix(hash_const: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's hash of a 32-bit word; each call multiplies the constant by mult."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value = (value ^ hash_const) * (hash_const := hash_const * mult & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg64_halves(seed: int) -> Iterator[int]:
+    """The 32-bit halves, low half first, of the raw 64-bit words of numpy's
+    ``default_rng(seed)``: a PCG64 (a 128-bit LCG, XSL-RR output) seeded by
+    ``SeedSequence(seed).generate_state(4, np.uint64)`` (O'Neill's
+    seed_seq_fe), both written out."""
+    # the seed's 32-bit words, low first, hashed into a pool of 4 and mixed
+    entropy = [seed >> i & _MASK32 for i in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        pool = [x if dst == src else mix(x, pool[src]) for dst, x in enumerate(pool)]
+    for word in entropy[4:]:
+        pool = [mix(x, word) for x in pool]
+    # 8 words drawn from the pool in turn, paired little-endian into w0..w3
+    draw = _hashmix(0x8B51F9DD, 0x58F38DED)
+    w = [draw(pool[i % 4]) for i in range(8)]
+    w0, w1, w2, w3 = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _MASK128
+    # numpy steps the LCG _BLOCK words at a time: the j-th state after s is
+    # a_j * s + c_j (mod 2**128), with a_j and c_j its j-step constants; uint64
+    # arithmetic wraps mod 2**64, so 64-bit products are taken in 32-bit limbs
+    a = list(accumulate(repeat(_PCG_MULT, _BLOCK), lambda m, _: m * _PCG_MULT & _MASK128))
+    c = list(accumulate(repeat(inc, _BLOCK), lambda k, _: k * _PCG_MULT + inc & _MASK128))
+
+    def words(values: list[int], shift: int, mask: int = _MASK64) -> np.ndarray:
+        return np.array([v >> shift & mask for v in values], np.uint64)
+
+    limbs = ((0, _MASK32), (32, _MASK32), (0,), (64,))  # 32-bit limbs, 64-bit words
+    a0, a1, al, ah = (words(a, *limb) for limb in limbs)
+    cl, ch = words(c, 0), words(c, 64)
+    m32, n32, n58, n63, n64 = map(np.uint64, (_MASK32, 32, 58, 63, 64))
+    while True:
+        s0, s1, sl, sh = (words([state], *limb) for limb in limbs)
+        p00, p01, p10 = a0 * s0, a0 * s1, a1 * s0
+        mid = (p00 >> n32) + (p01 & m32) + (p10 & m32)
+        lo = (p00 & m32 | mid << n32) + cl  # low word of al * sl + cl
+        hi = (a1 * s1 + (p01 >> n32) + (p10 >> n32) + (mid >> n32)  # high word of al * sl
+              + ah * sl + al * sh + ch + (lo < cl))  # lo < cl: the carry of + cl
+        x, rot = hi ^ lo, hi >> n58  # XSL-RR output
+        word = x >> rot | x << (n64 - rot & n63)
+        yield from np.stack((word & m32, word >> n32), axis=1).ravel().tolist()
+        state = int(hi[-1]) << 64 | int(lo[-1])
 
 
 class _Draws:
-    """The draws the forest makes of ``np.random.default_rng(seed)``, taken
-    from the raw 64-bit words of its bit generator (``raw(n)`` returns the
-    next n). A bit generator's raw stream is fixed across numpy releases,
-    while ``Generator`` methods may change (NEP 19), so numpy's algorithms
-    are written out: words are split into 32-bit halves, low half first; a
-    bounded draw is Lemire's multiply-shift with its rejection step; and
+    """The draws the forest makes of numpy's ``default_rng(seed)``, taken
+    from ``halves``, the 32-bit halves of its raw PCG64 words
+    (:func:`_pcg64_halves`). numpy's algorithms are written out, so no
+    numpy release that changes ``Generator`` methods (NEP 19) moves a draw:
+    a bounded draw is Lemire's multiply-shift with its rejection step, and
     ``choice(replace=False)`` is Floyd's selection, then a shuffle."""
 
-    def __init__(self, raw: Callable[[int], np.ndarray]) -> None:
-        self._next32 = self._halves(raw).__next__
-
-    @staticmethod
-    def _halves(raw: Callable[[int], np.ndarray]) -> Iterator[int]:
-        while True:
-            words = raw(_WORDS)
-            yield from np.stack((words & _MASK32, words >> 32), axis=1).ravel().tolist()
+    def __init__(self, halves: Iterator[int]) -> None:
+        self._next32 = halves.__next__
 
     def _retry(self, m: int, n: int) -> int:
         """A half scaled by n to ``m`` whose low half fell under n: redrawn
@@ -92,21 +149,20 @@ class _Draws:
             m = self._next32() * n
         return m
 
-    def below(self, n: int) -> int:
-        """A draw from range(n), 1 <= n <= 2**32; n == 1 draws nothing."""
-        if n == 1:
-            return 0
-        m = self._next32() * n
-        return (m if m & _MASK32 >= n else self._retry(m, n)) >> 32
-
     def integers(self, n: int, size: int) -> list[int]:
-        """``Generator.integers(n, size=size)``."""
-        return [self.below(n) for _ in range(size)]
+        """``Generator.integers(n, size=size)``, 1 <= n <= 2**32; n == 1 draws nothing."""
+        if n == 1:
+            return [0] * size
+        next32, drawn = self._next32, []
+        for _ in range(size):
+            m = next32() * n
+            drawn.append((m if m & _MASK32 >= n else self._retry(m, n)) >> 32)
+        return drawn
 
     def choice(self, d: int, k: int) -> list[int]:
         """``Generator.choice(d, size=k, replace=False)``, k <= d <= 10000:
         Floyd's selection (j on a repeat), then a Fisher-Yates shuffle."""
-        next32, picked = self._next32, []  # below() inlined: the forest's hot spot
+        next32, picked = self._next32, []
         for j in range(d - k, d):
             v = 0
             if j:
@@ -446,7 +502,7 @@ def fanova_first_order(
         zeros = {n: 0.0 for n in names}
         return ImportanceReport(dict(zeros), dict(zeros))
 
-    draws = _Draws(np.random.default_rng(seed).bit_generator.random_raw)
+    draws = _Draws(_pcg64_halves(seed))
     n_candidates = max(1, math.ceil(math.sqrt(d)))
     fractions = np.zeros((trees, d))
     used = np.zeros(trees, dtype=bool)
@@ -524,23 +580,18 @@ def write_crosseval_csv(matrix: CrossEvalMatrix, path: str | Path) -> None:
 
 # report export
 
-def _pareto_payload(result: RunResult) -> dict:
-    points = []
-    for config, cost in result.pareto_front:
-        points.append(
-            {
-                "config": config.assignments,
-                "architecture": config.serialized_architecture or None,
-                "primary": cost.primary,
-                "runtime_hours": cost.runtime_hours,
-            }
-        )
-    return {"points": points}
-
-
 def write_pareto_json(result: RunResult, path: str | Path) -> None:
+    points = [
+        {
+            "config": config.assignments,
+            "architecture": config.serialized_architecture or None,
+            "primary": cost.primary,
+            "runtime_hours": cost.runtime_hours,
+        }
+        for config, cost in result.pareto_front
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_pareto_payload(result), fh, sort_keys=True, indent=2)
+        json.dump({"points": points}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -234,15 +234,6 @@ def build_grammar(
     )
 
 
-def grammar_text(grammar: Grammar) -> str:
-    """Human-readable rule listing, one ``NT ::= a | b | ...`` line per rule."""
-    lines = []
-    for lhs, alts in grammar.productions.items():
-        rendered = " | ".join(_join_tokens(alt) for alt in alts)
-        lines.append(f"{lhs} ::= {rendered}")
-    return "\n".join(lines)
-
-
 # counting and enumeration
 
 def count_derivations(grammar: Grammar) -> int:

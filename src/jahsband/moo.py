@@ -47,15 +47,6 @@ def _as_array(points: list[CostVector]) -> np.ndarray:
     return arr
 
 
-def dominates(a: CostVector, b: CostVector) -> bool:
-    """True if a is no worse than b in both objectives and better in one."""
-    return (
-        a.primary <= b.primary
-        and a.runtime_hours <= b.runtime_hours
-        and (a.primary < b.primary or a.runtime_hours < b.runtime_hours)
-    )
-
-
 def non_dominated_sort(points: list[CostVector]) -> list[list[int]]:
     """Partition point indices into fronts F_1..F_m.
 

@@ -15,7 +15,6 @@ import csv
 import json
 import math
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -251,7 +250,10 @@ def run(
     plan = bracket_plan(ladder, policy)
     rng = np.random.default_rng(seed)
     history = RunHistory(space, ladder, run_seed=seed)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # imported here, so a serial run loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=workers)
 
     def evaluate_rung(
         members: list[tuple[int, Configuration, str]],
@@ -407,8 +409,9 @@ def read_history_csv(
     """Inverse of :func:`write_history_csv`. A missing column, or a row that
     no run writes (a row cut short, an architecture the space cannot parse,
     a status other than ``ok`` with both costs or ``failed`` without them,
-    another run seed than the first row's, a cumulative charge that grows
-    by 0 or less or by more than the row's budget), raises
+    another run seed than the first row's, a rung off ``ladder`` or a budget
+    other than its rung's, a cumulative charge that grows by 0 or less or by
+    more than the row's budget), raises
     :class:`~jahsband.harness.MalformedRowError` naming the line."""
     history: RunHistory | None = None
     prev_charged = 0
@@ -440,7 +443,9 @@ def read_history_csv(
                 assignments = json.loads(row["serialized_config"])
                 if not isinstance(assignments, dict):
                     raise ValueError("serialized_config is not a JSON object")
-                budget = int(row["budget_epochs"])
+                budget, rung = int(row["budget_epochs"]), int(row["rung"])
+                if not (0 <= rung <= ladder.s_max and budget == ladder.rung_budgets[rung]):
+                    raise ValueError(f"rung {rung} at budget {budget} is not on the ladder")
                 delta = int(row["charged_epochs_cumulative"]) - prev_charged
                 if not 0 < delta <= budget:
                     raise ValueError(f"charged {delta} epochs at budget {budget}")
@@ -451,14 +456,12 @@ def read_history_csv(
                     )
                     if not all(map(math.isfinite, cost.as_tuple())):
                         raise ValueError(f"non-finite cost {cost.as_tuple()}")
-                elif status == "failed" and row["primary_cost"] == "":
+                elif status == "failed" and row["primary_cost"] == row["runtime_hours"] == "":
                     cost = None
                 else:
-                    raise ValueError(
-                        f"status {status!r} with primary_cost {row['primary_cost']!r}"
-                    )
-                config_id, rung = int(row["config_id"]), int(row["rung"])
-                bracket = int(row["bracket"])
+                    raise ValueError(f"status {status!r} with costs {row['primary_cost']!r}, "
+                                     f"{row['runtime_hours']!r}")
+                config_id, bracket = int(row["config_id"]), int(row["bracket"])
             except ValueError as exc:
                 raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
             prev_charged += delta

@@ -73,10 +73,6 @@ class BracketPlan:
     policy: str
     brackets: tuple[Bracket, ...]
 
-    @property
-    def total_configs(self) -> int:
-        return sum(b.n_configs for b in self.brackets)
-
 
 def bracket_plan(ladder: BudgetLadder, policy: str = STANDARD_HB) -> BracketPlan:
     """Lay out brackets s = s_max..0.
@@ -118,38 +114,6 @@ def charge_cost(budgets: list[int], mode: str = "continuation") -> int:
     if mode == "restart":
         return sum(budgets)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def enumerate_schedule(plan: BracketPlan) -> list[dict[str, int]]:
-    """Flatten a plan into (bracket, rung, count, budget) rows, the basis for
-    total-cost accounting."""
-    rows = []
-    for bracket in plan.brackets:
-        for offset, count in enumerate(bracket.rung_counts):
-            rung = bracket.start_rung + offset
-            rows.append(
-                {
-                    "bracket": bracket.s,
-                    "rung": rung,
-                    "count": count,
-                    "budget": plan.ladder.rung_budgets[rung],
-                }
-            )
-    return rows
-
-
-def schedule_epochs(plan: BracketPlan, mode: str = "restart") -> int:
-    """Total epochs the plan spends across all brackets under one accounting
-    mode, excluding any seeding evaluation: the :func:`charge_cost` of each
-    configuration's chain of budgets up to the rung it stops at."""
-    budgets = plan.ladder.rung_budgets
-    total = 0
-    for bracket in plan.brackets:
-        counts = bracket.rung_counts
-        for offset, (count, promoted) in enumerate(zip(counts, counts[1:] + (0,))):
-            chain = budgets[bracket.start_rung : bracket.start_rung + offset + 1]
-            total += (count - promoted) * charge_cost(list(chain), mode)
-    return total
 
 
 @dataclass

@@ -11,6 +11,15 @@ from jahsband.priorband import RunHistory
 from jahsband.scheduler import Trial, budget_ladder
 
 
+def dominates(a: CostVector, b: CostVector) -> bool:
+    """True if a is no worse than b in both objectives and better in one."""
+    return (
+        a.primary <= b.primary
+        and a.runtime_hours <= b.runtime_hours
+        and (a.primary < b.primary or a.runtime_hours < b.runtime_hours)
+    )
+
+
 def brute_force_fronts(points: list[CostVector]) -> list[list[int]]:
     """Definitional non-dominated sorting: repeatedly extract the set of
     points not dominated by any remaining point. Independent of the

@@ -1,9 +1,10 @@
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jahsband as jb
@@ -17,6 +18,7 @@ from jahsband.analysis import (
     _best_categorical_split,
     _best_numeric_split,
     _best_numeric_splits,
+    _pcg64_halves,
     _sum,
     cross_eval,
     export_reports,
@@ -24,9 +26,9 @@ from jahsband.analysis import (
     write_crosseval_csv,
 )
 from jahsband.harness import SyntheticProblem
-from jahsband.moo import CostVector, dominates
+from jahsband.moo import CostVector
 
-from conftest import float_space, history_from_table
+from conftest import dominates, float_space, history_from_table
 import fanova_oracle as oracle
 
 SPACES_DIR = Path(__file__).resolve().parents[1] / "spaces"
@@ -402,15 +404,28 @@ def call(source, name, a, b):
 
 
 class TestDraws:
-    """The forest's draws, taken from raw PCG64 words, equal those of
-    ``np.random.default_rng(seed)``, and leave the stream at the same
-    point."""
+    """The forest's stream is the raw PCG64 stream of
+    ``np.random.default_rng(seed)``, and its draws equal that generator's
+    and leave the stream at the same point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**256 - 1))
+    @example(seed=0)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)  # two entropy words
+    @example(seed=2**128 + 1)  # five: one is mixed in after the pool
+    @example(seed=2**256 - 1)
+    def test_halves_match_numpy_raw_words(self, seed):
+        # 1,000 words cross the first block of 512 the port steps at once
+        words = np.random.default_rng(seed).bit_generator.random_raw(1000)
+        expected = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()
+        assert list(islice(_pcg64_halves(seed), 2000)) == expected.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(generator_calls(), max_size=60))
     def test_interleaved_calls_match_generator(self, seed, calls):
         rng = np.random.default_rng(seed)
-        draws = _Draws(np.random.default_rng(seed).bit_generator.random_raw)
+        draws = _Draws(_pcg64_halves(seed))
         for name, a, b in calls + [("integers", 2**31 + 1, 3)]:
             assert call(draws, name, a, b) == call(rng, name, a, b)
 
@@ -418,26 +433,24 @@ class TestDraws:
         ("integers", 1, 5), ("integers", 1, 0), ("choice", 1, 1), ("choice", 2, 2)])
     def test_a_single_value_draws_nothing(self, name, a, b):
         rng = np.random.default_rng(7)
-        draws = _Draws(np.random.default_rng(7).bit_generator.random_raw)
+        draws = _Draws(_pcg64_halves(7))
         assert call(draws, name, a, b) == call(rng, name, a, b)
         assert draws.integers(600, 4) == rng.integers(600, size=4).tolist()
 
     def test_rejection_matches_generator(self):
         # below 2**31 + 1 about half of all draws are rejected and redrawn
         rng = np.random.default_rng(3)
-        draws = _Draws(np.random.default_rng(3).bit_generator.random_raw)
+        draws = _Draws(_pcg64_halves(3))
         for _ in range(4):
             assert draws.integers(2**31 + 1, 64) == rng.integers(2**31 + 1, size=64).tolist()
             assert draws.choice(17, 5) == rng.choice(17, size=5, replace=False).tolist()
 
     def test_rejection_from_crafted_words(self):
         # a draw below 3 rejects a half whose product with 3 leaves a low
-        # half under 2**32 % 3 == 1, i.e. a half of 0, and redraws; halves
-        # are taken low first: 0 (rejected), 0xFFFFFFFF -> 2; then 0
-        # (rejected), 1 -> 0; then 0x55555556 -> 1, whose low half 2 is
-        # under 3 but not under 1, so it stands
-        words = np.array([0xFFFFFFFF_00000000, 0x00000001_00000000, 0x55555556],
-                         dtype=np.uint64)
-        draws = _Draws(lambda n: words)
+        # half under 2**32 % 3 == 1, i.e. a half of 0, and redraws:
+        # 0 (rejected), 0xFFFFFFFF -> 2; then 0 (rejected), 1 -> 0; then
+        # 0x55555556 -> 1, whose low half 2 is under 3 but not under 1, so
+        # it stands
+        draws = _Draws(iter([0, 0xFFFFFFFF, 0, 1, 0x55555556]))
         assert draws.choice(3, 1) == [2]
         assert draws.integers(3, 2) == [0, 1]

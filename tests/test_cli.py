@@ -305,6 +305,48 @@ def test_runs_and_reports_without_scipy(tmp_path):
         assert bare.read_bytes() == ordinary.read_bytes(), name
 
 
+#: runs ``jahsband.cli.main`` on each JSON-encoded argv of ``sys.argv[1:]``
+#: with ``numpy.random`` unimportable, then prints whether a thread pool
+#: got loaded
+WITHOUT_NUMPY_RANDOM = """
+import json, sys
+
+sys.modules["numpy.random"] = None  # any import of it now raises ImportError
+from jahsband.cli import main
+
+for argv in sys.argv[1:]:
+    code = main(json.loads(argv))
+    if code:
+        sys.exit(code)
+print(json.dumps("concurrent.futures" in sys.modules))
+"""
+
+
+def test_reports_load_no_numpy_random(tmp_path):
+    """The forest draws from a pure-Python PCG64: both reports run with
+    ``numpy.random`` unimportable, load no thread pool, and write the bytes
+    an ordinary process writes."""
+    paths = [str(Path(jahsband.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = "import numpy, sys; sys.exit('numpy.random' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode:
+        pytest.skip("this numpy imports numpy.random with numpy")
+    ordinary, bare = tmp_path / "ordinary", tmp_path / "bare"
+    for out in (ordinary, bare):
+        assert run_cli(*small_run_args(out)) == 0
+    (bare / "seed_0" / "pareto.json").unlink()
+    for action in ("importance", "pareto"):
+        assert run_cli("report", action, "--run", str(ordinary)) == 0
+    reports = [json.dumps(["report", action, "--run", str(bare)])
+               for action in ("importance", "pareto")]
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY_RANDOM, *reports],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) is False
+    for name in ("pareto.json", "importance.json"):
+        assert (bare / "seed_0" / name).read_bytes() == (ordinary / "seed_0" / name).read_bytes()
+
+
 class TestGrammarCommand:
     def test_count_reference(self, capsys):
         assert run_cli("grammar", "count", "--stages", "4", "--scale", "1") == 0
@@ -515,6 +557,10 @@ INPUT_ERRORS = {
     "negative forest seed":
         lambda tmp, run: ["report", "importance", "--run", str(run), "--rf-seed", "-1"],
     "non-finite cost": lambda tmp, run: ["report", "pareto", "--run", _nan_cost_run(tmp, run)],
+    # rung 0 of the recorded 3..27 ladder is budget 3, of 1..27 budget 1
+    "replay table of another ladder": lambda tmp, run: small_run_args(tmp / "o") + [
+        "--min-budget", "1", "--problem", "replay",
+        "--replay-file", str(run / "seed_0" / "history.csv")],
 }
 
 #: manifest values of the wrong type, each once an exit 1 or a silent run

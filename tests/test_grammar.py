@@ -11,6 +11,14 @@ from jahsband import grammar as hg
 import grammar_oracle as oracle
 
 
+def grammar_text(grammar):
+    """One ``NT ::= a | b | ...`` line per rule, each alternative's tokens
+    joined as ``serialize`` joins a derivation's."""
+    return "\n".join(
+        f"{lhs} ::= " + " | ".join(hg._join_tokens(alt) for alt in alts)
+        for lhs, alts in grammar.productions.items())
+
+
 def worked_example():
     """4 stages, scale 2: conv (2,2,2,2), residual (1,3,4,6), decoder (2,2,2)."""
     return hg.build_grammar(4, 2)
@@ -18,7 +26,7 @@ def worked_example():
 
 class TestBuildGrammar:
     def test_worked_example_block_caps(self):
-        text = hg.grammar_text(worked_example())
+        text = grammar_text(worked_example())
         lines = dict(line.split(" ::= ") for line in text.splitlines())
         for i in range(1, 5):
             assert lines[f"CEB_{i}"] == "1b | 2b | 3b | 4b"

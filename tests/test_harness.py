@@ -326,14 +326,14 @@ class TestReplay:
     def test_single_row_lookup(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        trial = Trial(0, config, 0, 0, 9, "random", cost=CostVector(0.5, 1.25))
+        trial = Trial(0, config, 0, 2, 9, "random", cost=CostVector(0.5, 1.25))
         path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay(path, space)
         assert problem.evaluate(config, 9) == CostVector(0.5, 1.25)
     def test_missing_budget(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        trial = Trial(0, config, 0, 0, 9, "random", cost=CostVector(0.5, 1.0))
+        trial = Trial(0, config, 0, 2, 9, "random", cost=CostVector(0.5, 1.0))
         path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay(path, space)
         with pytest.raises(MissingEntryError):
@@ -345,8 +345,8 @@ class TestReplay:
         failed = cs.Configuration({"p0": 0.25})
         ok = cs.Configuration({"p0": 0.75})
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(1, failed, 0, 0, 3, "random"),
-            Trial(2, ok, 0, 0, 3, "random", cost=CostVector(0.5, 1.0)),
+            Trial(1, failed, 0, 1, 3, "random"),
+            Trial(2, ok, 0, 1, 3, "random", cost=CostVector(0.5, 1.0)),
         ])
         problem = replay(path, space)
         with pytest.raises(RecordedFailure) as info:
@@ -357,9 +357,9 @@ class TestReplay:
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(1, config, 0, 0, 3, "random", cost=CostVector(0.5, 1.0)),
-            Trial(2, config, 0, 0, 3, "random"),
-            Trial(3, config, 0, 0, 3, "random", cost=CostVector(0.1, 2.0)),
+            Trial(1, config, 0, 1, 3, "random", cost=CostVector(0.5, 1.0)),
+            Trial(2, config, 0, 1, 3, "random"),
+            Trial(3, config, 0, 1, 3, "random", cost=CostVector(0.1, 2.0)),
         ])
         assert replay(path, space).evaluate(config, 3) == CostVector(0.5, 1.0)
     def test_old_table_format_rejected(self, tmp_path):
@@ -372,7 +372,7 @@ class TestReplay:
             read_history_csv(path, float_space(1), LADDER)
     def test_malformed_row(self, tmp_path):
         space = float_space(1)
-        trial = Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random",
+        trial = Trial(0, cs.Configuration({"p0": 0.25}), 0, 2, 9, "random",
                       cost=CostVector(0.5, 1.0))
         path = write_history(tmp_path / "history.csv", space, [trial])
         header, row = path.read_text().splitlines()
@@ -389,7 +389,7 @@ class TestReplay:
         # -1 drops only the (empty) architecture field's separator
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random",
+            Trial(0, cs.Configuration({"p0": 0.25}), 0, 2, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ] * 2)
         lines = path.read_text().splitlines()
@@ -402,11 +402,16 @@ class TestReplay:
         ("charged_epochs_cumulative", "1"),  # falls by 5
         ("charged_epochs_cumulative", "6"),  # grows by 0
         ("charged_epochs_cumulative", "10"),  # grows by 4 at budget 3
+        ("rung", "0"),  # budget 3 is rung 1 of 1..27
+        ("rung", "4"),  # past s_max
+        ("rung", "-1"),
+        ("budget_epochs", "9"),  # rung 2's budget
+        ("budget_epochs", "5"),  # on no rung
     ])
     def test_row_no_run_writes(self, tmp_path, column, value):
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(i, cs.Configuration({"p0": 0.25}), 0, 0, 3, "random",
+            Trial(i, cs.Configuration({"p0": 0.25}), 0, 1, 3, "random",
                   cost=CostVector(0.5, 1.0)) for i in range(3)
         ])
         with open(path, newline="") as fh:
@@ -422,13 +427,14 @@ class TestReplay:
         (",0.5,1.0,9,ok,", ",0.5,1.0,9,failed,"),
         (",0.5,1.0,9,ok,", ",0.5,1.0,9,pending,"),
         (",0.5,1.0,9,ok,", ",,,9,crashed,"),
+        (",0.5,1.0,9,ok,", ",,1.0,9,failed,"),
         ('"{""p0"": 0.25}"', '"{""p0"": 0.25"'),
         ('"{""p0"": 0.25}"', "[0.25]"),
     ])
     def test_field_does_not_parse(self, tmp_path, old, new):
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, cs.Configuration({"p0": 0.25}), 0, 0, 9, "random",
+            Trial(0, cs.Configuration({"p0": 0.25}), 0, 2, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ])
         text = path.read_text()
@@ -440,7 +446,7 @@ class TestReplay:
         space = cs.load_space(
             Path(__file__).resolve().parents[1] / "spaces" / "hnas_grammar.json")
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, space.default_configuration(), 0, 0, 9, "random",
+            Trial(0, space.default_configuration(), 0, 2, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ])
         assert read_history_csv(path, space, LADDER).trials[0].configuration == (

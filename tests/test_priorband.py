@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -385,7 +387,7 @@ class TestRun:
         plan = jb.bracket_plan(ladder, "standard-hb")
         result = jb.run(space, problem, ladder, seed=0)
         ids = {t.config_id for t in result.history.trials}
-        assert len(ids) == 1 + plan.total_configs
+        assert len(ids) == 1 + sum(b.n_configs for b in plan.brackets)
 
     def test_identical_seeds_identical_histories(self, tmp_path):
         space, problem, ladder = small_setup()
@@ -431,6 +433,38 @@ class TestRun:
         space, problem, ladder = small_setup()
         with pytest.raises(ValueError, match="workers"):
             jb.run(space, problem, ladder, workers=workers)
+
+    def test_only_a_pooled_run_loads_a_thread_pool(self):
+        # a fresh process: this one may have loaded concurrent.futures already
+        probe = """
+import json, sys, threading
+import jahsband.cli
+from jahsband import configspace as cs
+from jahsband.harness import SyntheticProblem
+from jahsband.priorband import run
+from jahsband.scheduler import budget_ladder
+
+class Threads(SyntheticProblem):
+    off_main = False
+    def evaluate(self, *args, **kwargs):
+        Threads.off_main |= threading.current_thread() is not threading.main_thread()
+        return super().evaluate(*args, **kwargs)
+
+space = cs.build_space([cs.ParameterSpec("p0", "float", lo=0.0, hi=1.0, default=0.5)])
+problem = Threads.from_space(space, b_max=27)
+seen = ["concurrent.futures" in sys.modules]
+for workers in (1, 2):
+    run(space, problem, budget_ladder(1, 27, 3), workers=workers)
+    seen.append(["concurrent.futures" in sys.modules, Threads.off_main])
+print(json.dumps(seen))
+"""
+        src = str(Path(jb.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, [False, False], [True, True]]
 
     def test_argmin_primary_always_promoted(self):
         space, problem, ladder = small_setup(size=("p2",))

@@ -2,14 +2,45 @@ import numpy as np
 import pytest
 
 from jahsband.scheduler import (
+    BracketPlan,
     InvalidBudgetsError,
     NonMonotoneBudgetsError,
     bracket_plan,
     budget_ladder,
     charge_cost,
-    enumerate_schedule,
-    schedule_epochs,
 )
+
+
+def enumerate_schedule(plan: BracketPlan) -> list[dict[str, int]]:
+    """Flatten a plan into (bracket, rung, count, budget) rows, the basis for
+    total-cost accounting."""
+    rows = []
+    for bracket in plan.brackets:
+        for offset, count in enumerate(bracket.rung_counts):
+            rung = bracket.start_rung + offset
+            rows.append(
+                {
+                    "bracket": bracket.s,
+                    "rung": rung,
+                    "count": count,
+                    "budget": plan.ladder.rung_budgets[rung],
+                }
+            )
+    return rows
+
+
+def schedule_epochs(plan: BracketPlan, mode: str = "restart") -> int:
+    """Total epochs the plan spends across all brackets under one accounting
+    mode, excluding any seeding evaluation: the :func:`charge_cost` of each
+    configuration's chain of budgets up to the rung it stops at."""
+    budgets = plan.ladder.rung_budgets
+    total = 0
+    for bracket in plan.brackets:
+        counts = bracket.rung_counts
+        for offset, (count, promoted) in enumerate(zip(counts, counts[1:] + (0,))):
+            chain = budgets[bracket.start_rung : bracket.start_rung + offset + 1]
+            total += (count - promoted) * charge_cost(list(chain), mode)
+    return total
 
 
 class TestBudgetLadder:
@@ -109,7 +140,7 @@ class TestScheduleTotals:
     # reference (10, 1000, 3) standard-hb setup
     def test_totals_frozen(self):
         plan = bracket_plan(budget_ladder(10, 1000, 3), "standard-hb")
-        assert plan.total_configs == 143
+        assert sum(b.n_configs for b in plan.brackets) == 143
         assert schedule_epochs(plan, "restart") == 23441
         assert schedule_epochs(plan, "continuation") == 19491
 
@@ -140,4 +171,4 @@ class TestScheduleTotals:
             plan, "restart"
         )
         starts = [r for r in rows if r["bracket"] + r["rung"] == plan.ladder.s_max]
-        assert sum(r["count"] for r in starts) == plan.total_configs
+        assert sum(r["count"] for r in starts) == sum(b.n_configs for b in plan.brackets)
