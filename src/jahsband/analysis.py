@@ -239,10 +239,10 @@ def _best_numeric_splits(
     left = csum[:, :-1]
     gains = left**2 / nl + (total[:, None] - left) ** 2 / nl[::-1] - whole[:, None]
     gains[~boundary] = -np.inf
-    best = gains.argmax(axis=1)
-    rows = np.arange(k)
-    thresholds = 0.5 * (xs[rows, best] + xs[rows, best + 1])
-    return gains[rows, best].tolist(), thresholds.tolist()
+    rows, best = np.arange(k), gains.argmax(axis=1)
+    lower, upper = xs[rows, best], xs[rows, best + 1]
+    mid = 0.5 * (lower + upper)  # may round up to upper, leaving no row right: cut at lower
+    return gains[rows, best].tolist(), np.where(mid < upper, mid, lower).tolist()
 
 
 def _best_numeric_split(xs: list[float], ys: list[float]) -> tuple[float, float]:
@@ -262,7 +262,7 @@ def _best_numeric_split(xs: list[float], ys: list[float]) -> tuple[float, float]
             gain = left * left / (i + 1) + right * right / (n - 1 - i) - whole
             if gain > best_gain:
                 best_gain, best = gain, i
-    return best_gain, 0.5 * (xs[best] + xs[best + 1])
+    return best_gain, mid if (mid := 0.5 * (xs[best] + xs[best + 1])) < xs[best + 1] else xs[best]
 
 
 def _best_categorical_split(

@@ -3,7 +3,9 @@
 A verbatim copy of the forest ``jahsband.analysis`` grew before its trees
 were built from presorted columns: every node re-sorts each candidate
 column, numeric and categorical splits are scored one column at a time, and
-leaf boxes are Python lists and sets. The tests compare
+leaf boxes are Python lists and sets. One change since: a midpoint
+threshold that rounds up to the upper of two adjacent floats is replaced by
+the lower one, so no split leaves a child empty. The tests compare
 ``jahsband.analysis.fanova_first_order`` with this module's
 :func:`fanova_first_order` float for float, so a change that moves a single
 bit of an importance shows up.
@@ -50,7 +52,10 @@ def _best_numeric_split(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     left = csum[boundaries - 1]
     gains = left**2 / nl + (total - left) ** 2 / (n - nl) - total**2 / n
     best = int(np.argmax(gains))
-    threshold = 0.5 * (xs[boundaries[best] - 1] + xs[boundaries[best]])
+    lower, upper = xs[boundaries[best] - 1], xs[boundaries[best]]
+    threshold = 0.5 * (lower + upper)
+    if threshold == upper:  # adjacent floats: split at the lower one
+        threshold = lower
     return float(gains[best]), float(threshold)
 
 

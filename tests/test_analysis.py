@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import islice
 from pathlib import Path
 
@@ -260,6 +261,19 @@ class TestFanovaMatchesOracle:
     def test_grammar_space_run(self):
         assert_matches_oracle(grammar_space_history(), trees=8, seed=0,
                               max_depth=12)
+
+    @pytest.mark.parametrize("cutoff", [0, 10**6])
+    def test_split_between_adjacent_floats(self, monkeypatch, cutoff):
+        # 0.5 * (1.0 - 2**-53 + 1.0) rounds to 1.0, which would send every
+        # row left and leave the right child without rows
+        monkeypatch.setattr(analysis, "_SCALAR_ROWS", cutoff)
+        below = float(np.nextafter(1.0, 0.0))
+        rows = [(cs.Configuration({"p0": x, "p1": 0.0}), y, 1.0)
+                for x, y in [(below, 0.0)] * 60 + [(1.0, 1.0)] * 2]
+        history = history_from_table(float_space(2), rows)
+        assert_matches_oracle(history, trees=1, seed=6, max_depth=1)
+        report = fanova_first_order(history, trees=4, seed=0, max_depth=4)
+        assert all(math.isfinite(v) for v in report.variances.values())
 
     @pytest.mark.parametrize("ks", [[64], [40, 24], [70], [33, 37]])
     def test_categories_past_64_bits(self, ks):
