@@ -14,7 +14,6 @@ from jahsband import (
     count_derivations,
     default_derivation,
     enumerate_derivations,
-    extract_features,
     parse,
     sample_derivation,
     serialize,
@@ -29,7 +28,7 @@ print("total architectures:", count_derivations(grammar))
 
 default = default_derivation(grammar)
 print("default architecture:", serialize(default))
-print("default features:", extract_features(default))
+print("default (stages, blocks), scaled to [0, 1]:", grammar.unit_features(default))
 print()
 
 print("first five derivations, lexicographically:")

@@ -15,13 +15,11 @@ from .configspace import (
     space_to_dict,
 )
 from .grammar import (
-    ArchFeatures,
     Grammar,
     build_grammar,
     count_derivations,
     default_derivation,
     enumerate_derivations,
-    extract_features,
     parse,
     sample_derivation,
     serialize,
@@ -68,7 +66,6 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchFeatures",
     "BracketPlan",
     "BudgetLadder",
     "Configuration",
@@ -99,7 +96,6 @@ __all__ = [
     "dynamic_weighting",
     "enumerate_derivations",
     "export_reports",
-    "extract_features",
     "fanova_first_order",
     "final_incumbent",
     "incumbent_for_sampling",

@@ -80,9 +80,10 @@ def _hashmix(hash_const: int, mult: int) -> Callable[[int], int]:
     return hashmix
 
 
-def _pcg64_halves(seed: int) -> Iterator[int]:
+def _pcg64_halves(seed: int) -> Iterator[np.ndarray]:
     """The 32-bit halves, low half first, of the raw 64-bit words of numpy's
-    ``default_rng(seed)``: a PCG64 (a 128-bit LCG, XSL-RR output) seeded by
+    ``default_rng(seed)``, as uint64 arrays of ``2 * _BLOCK``: a PCG64 (a
+    128-bit LCG, XSL-RR output) seeded by
     ``SeedSequence(seed).generate_state(4, np.uint64)`` (O'Neill's
     seed_seq_fe), both written out."""
     # the seed's 32-bit words, low first, hashed into a pool of 4 and mixed
@@ -126,52 +127,106 @@ def _pcg64_halves(seed: int) -> Iterator[int]:
               + ah * sl + al * sh + ch + (lo < cl))  # lo < cl: the carry of + cl
         x, rot = hi ^ lo, hi >> n58  # XSL-RR output
         word = x >> rot | x << (n64 - rot & n63)
-        yield from np.stack((word & m32, word >> n32), axis=1).ravel().tolist()
+        yield np.stack((word & m32, word >> n32), axis=1).ravel()
         state = int(hi[-1]) << 64 | int(lo[-1])
 
 
 class _Draws:
     """The draws the forest makes of numpy's ``default_rng(seed)``, taken
-    from ``halves``, the 32-bit halves of its raw PCG64 words
+    from ``blocks``, the 32-bit halves of its raw PCG64 words
     (:func:`_pcg64_halves`). numpy's algorithms are written out, so no
     numpy release that changes ``Generator`` methods (NEP 19) moves a draw:
     a bounded draw is Lemire's multiply-shift with its rejection step, and
-    ``choice(replace=False)`` is Floyd's selection, then a shuffle."""
+    ``choice(replace=False)`` is Floyd's selection, then a shuffle.
 
-    def __init__(self, halves: Iterator[int]) -> None:
-        self._next32 = halves.__next__
+    Draws are taken in bulk. A bootstrap takes all its products at once.
+    ``choice`` precomputes a batch of calls with the same (d, k), a fixed
+    group of halves each, up to the first group that has a draw the fast
+    test rejects; that call is drawn one half at a time. The position in
+    the stream moves only by what a call consumes, so a call of another
+    kind drops the batch's unused rows and starts where the last one ended."""
 
-    def _retry(self, m: int, n: int) -> int:
-        """A half scaled by n to ``m`` whose low half fell under n: redrawn
-        while that low half is under 2**32 % n."""
+    def __init__(self, blocks: Iterator[np.ndarray]) -> None:
+        self._blocks = blocks
+        self._halves, self._pos = np.empty(0, np.uint64), 0  # next half: _halves[_pos]
+        self._rows: list[list[int]] = []  # batched choice results, the next one last
+        self._shape, self._group = (0, 0), 0  # the batch's (d, k), halves per call
+
+    def _ahead(self, count: int) -> np.ndarray:
+        """At least ``count`` halves from the position on."""
+        while len(self._halves) - self._pos < count:
+            self._halves = np.concatenate((self._halves[self._pos:], next(self._blocks)))
+            self._pos = 0
+        return self._halves[self._pos:]
+
+    def _draw(self, n: int) -> int:
+        """One draw under n, a half at a time: Lemire's product of a half and
+        n, redrawn while its low half is under 2**32 % n (numpy tests against
+        n first; 2**32 % n is below n, so the draws are the same)."""
         threshold = (_MASK32 + 1 - n) % n
-        while m & _MASK32 < threshold:
-            m = self._next32() * n
-        return m
+        while True:
+            m = int(self._ahead(1)[0]) * n
+            self._pos += 1
+            if m & _MASK32 >= threshold:
+                return m >> 32
 
-    def integers(self, n: int, size: int) -> list[int]:
+    def integers(self, n: int, size: int) -> np.ndarray:
         """``Generator.integers(n, size=size)``, 1 <= n <= 2**32; n == 1 draws nothing."""
-        if n == 1:
-            return [0] * size
-        next32, drawn = self._next32, []
-        for _ in range(size):
-            m = next32() * n
-            drawn.append((m if m & _MASK32 >= n else self._retry(m, n)) >> 32)
+        self._rows = []
+        drawn, done = np.zeros(size, np.uint64), 0
+        while done < size and n > 1:
+            m = self._ahead(size - done)[:size - done] * n
+            rejected = np.flatnonzero(m & _MASK32 < n)
+            i = int(rejected[0]) if rejected.size else size - done
+            drawn[done:done + i] = m[:i] >> 32
+            self._pos += i
+            done += i
+            if done < size:  # m[i] failed the fast test: drawn on its own
+                drawn[done] = self._draw(n)
+                done += 1
         return drawn
+
+    def _batch(self, d: int, k: int) -> None:
+        """Precompute ``choice(d, k)`` calls from the halves ahead: their
+        draws are bounded by Floyd's j + 1 for each j >= 1, then the
+        shuffle's i + 1."""
+        bounds = np.array([j + 1 for j in range(max(d - k, 1), d)] + list(range(k, 1, -1)),
+                          np.uint64)
+        g = len(bounds)
+        self._shape, self._group, self._rows = (d, k), g, []
+        if not g:
+            return
+        halves = self._ahead(g)
+        m = halves[:len(halves) // g * g].reshape(-1, g) * bounds
+        accepted = (m & _MASK32 >= bounds).all(axis=1)
+        v = (m[:accepted.argmin() if not accepted.all() else len(m)] >> 32).astype(np.intp)
+        cols = [np.zeros(len(v), np.intp)] if d == k else []  # j == 0 draws nothing, picks 0
+        for j, draw in zip(range(d - k + len(cols), d), v.T):
+            repeat = np.zeros(len(v), bool)
+            for col in cols:
+                repeat |= col == draw
+            cols.append(np.where(repeat, j, draw))
+        picked = np.stack(cols, axis=1)
+        flat, starts = picked.ravel(), np.arange(0, picked.size, k)
+        for i, j in zip(range(k - 1, 0, -1), v.T[k - (d == k):]):
+            at = starts + j  # each row's column j, swapped with its column i
+            picked[:, i], flat[at] = flat[at], picked[:, i].copy()
+        self._rows = picked[::-1].tolist()
 
     def choice(self, d: int, k: int) -> list[int]:
         """``Generator.choice(d, size=k, replace=False)``, k <= d <= 10000:
         Floyd's selection (j on a repeat), then a Fisher-Yates shuffle."""
-        next32, picked = self._next32, []
+        if not self._rows or self._shape != (d, k):
+            self._batch(d, k)
+        if self._rows:
+            self._pos += self._group
+            return self._rows.pop()
+        picked: list[int] = []
         for j in range(d - k, d):
-            v = 0
-            if j:
-                m = next32() * (j + 1)
-                v = (m if m & _MASK32 > j else self._retry(m, j + 1)) >> 32
+            v = self._draw(j + 1) if j else 0
             picked.append(j if v in picked else v)
         for i in range(k - 1, 0, -1):
-            m = next32() * (i + 1)
-            j = (m if m & _MASK32 > i else self._retry(m, i + 1)) >> 32
+            j = self._draw(i + 1)
             picked[i], picked[j] = picked[j], picked[i]
         return picked
 
@@ -297,10 +352,11 @@ def _best_categorical_split(
     return best_gain, frozenset(int(run[3]) for run in runs[:best_cut])
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, categorical: dict[int, int], max_depth: int,
-              n_candidates: int, draws: _Draws) -> list[_Leaf]:
-    """The leaves of one tree, depth first with the left child first. Each
-    child is handed its box, so every leaf comes out with its own."""
+def _fit_tree(X: np.ndarray, y: np.ndarray, presorted: np.ndarray, categorical: dict[int, int],
+              max_depth: int, n_candidates: int, draws: _Draws) -> list[_Leaf]:
+    """The leaves of one tree, depth first with the left child first, with
+    ``presorted[f]`` the rows in stable order of column f. Each child is
+    handed its box, so every leaf comes out with its own."""
     n, d = X.shape
     size = min(n_candidates, d)
     choice = draws.choice
@@ -328,9 +384,11 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, categorical: dict[int, int], max_dep
             for f in choice(d, size):
                 col = cols[f]
                 order = sorted(rows, key=col.__getitem__)
+                xs = list(map(col.__getitem__, order))
+                if xs[0] == xs[-1]:  # constant: gains -inf or 0.0, never a split
+                    continue
                 split = _best_categorical_split if f in categorical else _best_numeric_split
-                gain, where = split(list(map(col.__getitem__, order)),
-                                    list(map(targets.__getitem__, order)))
+                gain, where = split(xs, list(map(targets.__getitem__, order)))
                 if gain > best_gain:
                     best_gain, best = gain, (f, where)
         if best is None:
@@ -387,12 +445,24 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, categorical: dict[int, int], max_dep
         build(idx[~mask], ranked[~goes_left].reshape(d, idx.size - n_left),
               depth + 1, right)
 
-    build(np.arange(n), np.argsort(X.T, axis=1, kind="stable"), 0,
+    build(np.arange(n), presorted, 0,
           ((0.0,) * d, (1.0,) * d, (1 << sum(categorical.values())) - 1))
     # the recursive closures refer to themselves: break those cycles, so the
     # tree's lists are freed now rather than by a later garbage collection
     del build, small
     return leaves
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Per column, each value's rank among the column's distinct values, so
+    equal floats rank equal: a stable argsort of rows of ranks is that of
+    the rows of floats, and numpy radix-sorts 16-bit keys."""
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    steps = np.concatenate((np.zeros((1, X.shape[1]), bool), xs[1:] > xs[:-1]))
+    ranks = np.empty(X.shape, np.uint16 if len(X) < 1 << 16 else np.intp)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=0, dtype=ranks.dtype), axis=0)
+    return ranks
 
 
 def _tree_marginal_variances(leaves: list[_Leaf], d: int,
@@ -428,7 +498,8 @@ def _tree_marginal_variances(leaves: list[_Leaf], d: int,
             marginals[f] = float(np.mean((m - mean) ** 2))
         else:
             lo, hi = los[:, f], his[:, f]
-            edges = np.unique(np.concatenate(([0.0, 1.0], lo, hi)))
+            edges = np.sort(np.concatenate(([0.0, 1.0], lo, hi)))
+            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
             mids = 0.5 * (edges[:-1] + edges[1:])
             lengths = np.diff(edges)
             cover = (lo[:, None] <= mids[None, :]) & (mids[None, :] < hi[:, None])
@@ -469,28 +540,18 @@ def fanova_first_order(
     constant objective yields all-zero importances. Raises
     :class:`InsufficientDataError` below two distinct configurations.
 
-    Each tree argsorts every column once, stably, and hands each child its
-    parent's sorted rows filtered by membership, the presorted attribute
-    lists of SLIQ (Mehta et al., EDBT 1996). A node scores all its
-    candidate columns in one 2-D pass (cumulative sums, boundary mask,
-    first maximum per row). Sums are added in the order a per-node sort
-    would give, so every forest, and every importance, is bit-identical to
-    scoring each column on its own.
-
-    A subtree whose root holds at most ``_SCALAR_ROWS`` (32) rows grows on
-    Python lists instead, where numpy's per-call cost would dominate: each
-    of its nodes sorts its candidate columns stably and scores them one by
-    one. That scalar path adds in numpy's order, so the forest stays
-    bit-identical: cumulative sums in sequence; a node's ``.sum()`` and
-    ``.mean()`` as numpy's pairwise sum (sequential below 8 numbers, 8
-    accumulators up to 128, halves added pairwise above); the node term
-    ``total**2 / n`` through C ``pow``; each cut's squares as products, as
-    numpy squares an array. It draws each node's candidates at the same
-    point, depth first, so the random stream does not change either.
-
-    The bootstrap and every node's candidates are drawn by :class:`_Draws`,
-    which gives what ``Generator`` draws from the same seed give. Each
-    child is handed its box, so the leaves come out with theirs.
+    Each forest ranks every column once (:func:`_dense_ranks`), and each
+    tree argsorts its bootstrap's ranks stably, which is the stable order of
+    its floats. A child gets its parent's sorted rows filtered by
+    membership, the presorted attribute lists of SLIQ (Mehta et al., EDBT
+    1996). A node scores all its candidate columns in one 2-D pass; a
+    subtree of at most ``_SCALAR_ROWS`` rows grows on Python lists and
+    skips the candidates that are constant in its node. Both paths add in
+    numpy's order (:func:`_sum`, :func:`_best_numeric_split`), so every
+    forest, and every importance, is bit-identical to scoring each column
+    on its own. The bootstrap and every node's candidates are drawn by
+    :class:`_Draws`, which gives what ``Generator`` draws from the same
+    seed give.
     """
     if trees < 1 or seed < 0:
         raise ForestSettingsError(f"need trees >= 1 and seed >= 0, got {trees}, {seed}")
@@ -504,11 +565,13 @@ def fanova_first_order(
 
     draws = _Draws(_pcg64_halves(seed))
     n_candidates = max(1, math.ceil(math.sqrt(d)))
+    ranks = _dense_ranks(X)
     fractions = np.zeros((trees, d))
     used = np.zeros(trees, dtype=bool)
     for t in range(trees):
         bootstrap = draws.integers(len(y), len(y))
-        leaves = _fit_tree(X[bootstrap], y[bootstrap], categorical, max_depth,
+        presorted = np.argsort(ranks[bootstrap].T, axis=1, kind="stable")
+        leaves = _fit_tree(X[bootstrap], y[bootstrap], presorted, categorical, max_depth,
                            n_candidates, draws)
         total_var, marginals = _tree_marginal_variances(leaves, d, categorical)
         if total_var > 0.0:

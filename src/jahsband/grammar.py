@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterator
 
@@ -139,10 +138,9 @@ class Grammar:
     def unit_features(self, derivation: Derivation) -> tuple[float, float]:
         """Two coordinates in [0, 1] summarizing a U-Net derivation: its stage
         count and its total block count, each relative to this grammar's
-        range. Both counts are read off the derivation, with no full
-        :func:`extract_features`: the stage count is the number of encoder
-        block children, and block rule alternative i holds i + 1 blocks. They
-        are the integers ``extract_features`` counts, divided the same way."""
+        range. Both counts are read off the derivation: the stage count is
+        the number of encoder block children, and block rule alternative i
+        holds i + 1 blocks."""
         rules = self.block_info
         _, _, (_, _, encoder, _, decoder, _) = derivation  # U-Net(kE, kD)
         enc = [c[1] + 1 for c in encoder[2] if isinstance(c, tuple) and c[0] in rules]
@@ -550,76 +548,6 @@ def parse(grammar: Grammar, text: str) -> Derivation:
     if result is None:
         raise NotInLanguageError("no derivation matches", positions[min(furthest, n - 1)])
     raise NotInLanguageError("trailing input", positions[result[1]])
-
-
-# feature extraction
-
-@dataclass(frozen=True)
-class ArchFeatures:
-    """Architecture-level summary of a derivation, usable as
-    pseudo-hyperparameters in downstream analyses."""
-
-    n_stages: int
-    encoder_type: str  # "conv" | "residual"
-    enc_blocks: tuple[int, ...]
-    dec_blocks: tuple[int, ...]
-    enc_norm: str
-    enc_nonlin: str
-    enc_dropout: bool
-    dec_norm: str
-    dec_nonlin: str
-    dec_dropout: bool
-
-    @property
-    def total_blocks(self) -> int:
-        return sum(self.enc_blocks) + sum(self.dec_blocks)
-
-
-def extract_features(derivation: Derivation) -> ArchFeatures:
-    """Read off stage count, encoder type, block counts, and cell-level
-    choices from a U-Net derivation."""
-    enc_node = dec_node = None
-    for child in derivation[2]:
-        if isinstance(child, tuple):
-            if child[0].endswith("E"):
-                enc_node = child
-            elif child[0].endswith("D"):
-                dec_node = child
-    if enc_node is None or dec_node is None:
-        raise GrammarError("not a U-Net derivation")
-
-    def side(node: Derivation) -> tuple[list[int], str, str, bool]:
-        blocks: list[int] = []
-        norm = nonlin = ""
-        dropout = False
-        for child in node[2]:
-            if not isinstance(child, tuple):
-                continue
-            lhs, _, sub = child
-            if lhs.endswith("_Norm"):
-                norm = sub[0]
-            elif lhs.endswith("_Nonlin"):
-                nonlin = sub[0]
-            elif lhs.endswith("_Dropout"):
-                dropout = sub[0] == "Dropout"
-            else:
-                blocks.append(int(sub[0][:-1]))
-        return blocks, norm, nonlin, dropout
-
-    enc_blocks, e_norm, e_nonlin, e_drop = side(enc_node)
-    dec_blocks, d_norm, d_nonlin, d_drop = side(dec_node)
-    return ArchFeatures(
-        n_stages=len(enc_blocks),
-        encoder_type="conv" if enc_node[2][0] == "ConvEncoder" else "residual",
-        enc_blocks=tuple(enc_blocks),
-        dec_blocks=tuple(dec_blocks),
-        enc_norm=e_norm,
-        enc_nonlin=e_nonlin,
-        enc_dropout=e_drop,
-        dec_norm=d_norm,
-        dec_nonlin=d_nonlin,
-        dec_dropout=d_drop,
-    )
 
 
 # declarative form

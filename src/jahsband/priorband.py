@@ -16,6 +16,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -409,70 +410,82 @@ def read_history_csv(
     """Inverse of :func:`write_history_csv`. A missing column, or a row that
     no run writes (a row cut short, an architecture the space cannot parse,
     a status other than ``ok`` with both costs or ``failed`` without them,
-    another run seed than the first row's, a rung off ``ladder`` or a budget
-    other than its rung's, a cumulative charge that grows by 0 or less or by
-    more than the row's budget), raises
+    another run seed than the first row's, a rung off ``ladder``, below its
+    bracket's first rung or at a budget other than its own, a bracket off
+    the plan, a cumulative charge that grows by other than the row's budget
+    or its step up from the rung below), raises
     :class:`~jahsband.harness.MalformedRowError` naming the line."""
     history: RunHistory | None = None
     prev_charged = 0
-    # derivations are immutable, so rows with one architecture share it
+    # one (immutable) Configuration per configuration, one derivation per architecture
+    configs: dict[tuple[str, str], Configuration] = {}
     derivations: dict[str, Derivation] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in HISTORY_COLUMNS if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in HISTORY_COLUMNS if c not in header]
         if missing:
             raise MalformedRowError(f"history.csv lacks columns {missing}")
+        # fields in HISTORY_COLUMNS order; a repeated column's last counts, as in DictReader
+        at = {name: i for i, name in enumerate(header)}
+        fields = itemgetter(*(at[c] for c in HISTORY_COLUMNS))
         for row in reader:
+            if not row:  # a blank line holds no row
+                continue
             try:
-                # DictReader fills a short row with None, and keys a long
-                # row's surplus fields by None
-                if None in row or None in row.values():
+                if len(row) != len(header):
                     raise ValueError("row does not have one field per column")
+                (run_seed, bracket, rung, config_id, strategy, budget, primary, runtime,
+                 charged, status, serialized, arch) = fields(row)
                 if history is None:
-                    history = RunHistory(space, ladder, run_seed=int(row["run_seed"]))
-                elif int(row["run_seed"]) != history.run_seed:
-                    raise ValueError(f"run_seed {row['run_seed']!r}, not {history.run_seed}")
-                derivation = None
-                arch = row["serialized_architecture"]
-                if arch:
-                    if space.grammar is None:
-                        raise ValueError(f"{arch!r} but the space has no grammar")
-                    derivation = derivations.get(arch)
-                    if derivation is None:
-                        derivation = derivations[arch] = parse(space.grammar, arch)
-                assignments = json.loads(row["serialized_config"])
-                if not isinstance(assignments, dict):
-                    raise ValueError("serialized_config is not a JSON object")
-                budget, rung = int(row["budget_epochs"]), int(row["rung"])
+                    history = RunHistory(space, ladder, run_seed=int(run_seed))
+                elif int(run_seed) != history.run_seed:
+                    raise ValueError(f"run_seed {run_seed!r}, not {history.run_seed}")
+                config = configs.get((serialized, arch))
+                if config is None:
+                    derivation = None
+                    if arch:
+                        if space.grammar is None:
+                            raise ValueError(f"{arch!r} but the space has no grammar")
+                        derivation = derivations.get(arch)
+                        if derivation is None:
+                            derivation = derivations[arch] = parse(space.grammar, arch)
+                    assignments = json.loads(serialized)
+                    if not isinstance(assignments, dict):
+                        raise ValueError("serialized_config is not a JSON object")
+                    config = configs[serialized, arch] = Configuration(assignments, derivation)
+                budget, rung = int(budget), int(rung)
                 if not (0 <= rung <= ladder.s_max and budget == ladder.rung_budgets[rung]):
                     raise ValueError(f"rung {rung} at budget {budget} is not on the ladder")
-                delta = int(row["charged_epochs_cumulative"]) - prev_charged
-                if not 0 < delta <= budget:
+                # bracket s starts at rung s_max - s; the default's -1 at the top
+                bracket = int(bracket)
+                first = ladder.s_max - max(bracket, 0)
+                if not (-1 <= bracket <= ladder.s_max and first <= rung):
+                    raise ValueError(f"rung {rung} is not in bracket {bracket}")
+                delta = int(charged) - prev_charged
+                if not (delta == budget or first < rung
+                        and budget - delta == ladder.rung_budgets[rung - 1]):
                     raise ValueError(f"charged {delta} epochs at budget {budget}")
-                status = row["status"]
                 if status == "ok":
-                    cost = CostVector(
-                        float(row["primary_cost"]), float(row["runtime_hours"])
-                    )
+                    cost = CostVector(float(primary), float(runtime))
                     if not all(map(math.isfinite, cost.as_tuple())):
                         raise ValueError(f"non-finite cost {cost.as_tuple()}")
-                elif status == "failed" and row["primary_cost"] == row["runtime_hours"] == "":
+                elif status == "failed" and primary == runtime == "":
                     cost = None
                 else:
-                    raise ValueError(f"status {status!r} with costs {row['primary_cost']!r}, "
-                                     f"{row['runtime_hours']!r}")
-                config_id, bracket = int(row["config_id"]), int(row["bracket"])
+                    raise ValueError(f"status {status!r} with costs {primary!r}, {runtime!r}")
+                config_id = int(config_id)
             except ValueError as exc:
                 raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
             prev_charged += delta
             history.add(
                 Trial(
                     config_id=config_id,
-                    configuration=Configuration(assignments, derivation),
+                    configuration=config,
                     bracket=bracket,
                     rung=rung,
                     budget=budget,
-                    strategy=row["strategy"],
+                    strategy=strategy,
                     cost=cost,
                     previous_budget=budget - delta if delta != budget else None,
                 )

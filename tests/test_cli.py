@@ -312,6 +312,7 @@ WITHOUT_NUMPY_RANDOM = """
 import json, sys
 
 sys.modules["numpy.random"] = None  # any import of it now raises ImportError
+sys.modules["numpy.ma"] = None
 from jahsband.cli import main
 
 for argv in sys.argv[1:]:
@@ -323,14 +324,16 @@ print(json.dumps("concurrent.futures" in sys.modules))
 
 
 def test_reports_load_no_numpy_random(tmp_path):
-    """The forest draws from a pure-Python PCG64: both reports run with
-    ``numpy.random`` unimportable, load no thread pool, and write the bytes
-    an ordinary process writes."""
+    """The forest draws from a pure-Python PCG64 and dedupes its edges
+    without ``np.unique``: both reports run with ``numpy.random`` and
+    ``numpy.ma`` unimportable, load no thread pool, and write the bytes an
+    ordinary process writes."""
     paths = [str(Path(jahsband.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    probe = "import numpy, sys; sys.exit('numpy.random' in sys.modules)"
+    probe = ("import numpy, sys; "
+             "sys.exit('numpy.random' in sys.modules or 'numpy.ma' in sys.modules)")
     if subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode:
-        pytest.skip("this numpy imports numpy.random with numpy")
+        pytest.skip("this numpy imports numpy.random or numpy.ma with numpy")
     ordinary, bare = tmp_path / "ordinary", tmp_path / "bare"
     for out in (ordinary, bare):
         assert run_cli(*small_run_args(out)) == 0

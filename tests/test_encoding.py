@@ -17,6 +17,7 @@ from jahsband.harness import SyntheticProblem
 from jahsband.priorband import run
 from jahsband.scheduler import budget_ladder
 
+from arch_features import extract_features
 import density_oracle
 import sampling_oracle
 
@@ -143,7 +144,7 @@ def _reference_coordinate(spec, value):
 
 
 def _reference_arch(grammar, derivation):
-    feats = hg.extract_features(derivation)
+    feats = extract_features(derivation)
     lo, hi = grammar.n_stages_min, grammar.n_stages_max
     min_total, max_total = grammar.total_blocks_range
     return [

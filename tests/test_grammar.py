@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jahsband import grammar as hg
 
+from arch_features import extract_features
 import grammar_oracle as oracle
 
 
@@ -112,7 +113,7 @@ class TestSampling:
         g = worked_example()
         rng = np.random.default_rng(0)
         counts = Counter(
-            hg.extract_features(hg.sample_derivation(g, "uniform", rng)).encoder_type
+            extract_features(hg.sample_derivation(g, "uniform", rng)).encoder_type
             for _ in range(10000)
         )
         assert counts["conv"] / 10000 == pytest.approx(0.5, abs=0.02)
@@ -133,7 +134,7 @@ class TestSampling:
         rng = np.random.default_rng(2)
         stage_counts = [Counter(), Counter()]
         for _ in range(6000):
-            feats = hg.extract_features(
+            feats = extract_features(
                 hg.sample_derivation(g, ("prior", center, "high"), rng)
             )
             if feats.encoder_type == "residual":
@@ -155,7 +156,7 @@ class TestSampling:
             ("uniform", uniform_hits),
         ):
             for _ in range(n):
-                feats = hg.extract_features(hg.sample_derivation(g, mode, rng))
+                feats = extract_features(hg.sample_derivation(g, mode, rng))
                 hits["stages"] += feats.n_stages == 3
                 hits["encoder"] += feats.encoder_type == "conv"
                 hits["norm"] += feats.enc_norm == "InstanceNorm"
@@ -172,7 +173,7 @@ class TestSampling:
             for mode in ("uniform", ("prior", center, "medium")):
                 d = hg.sample_derivation(g, mode, rng)
                 assert hg.validate_derivation(g, d)
-                feats = hg.extract_features(d)
+                feats = extract_features(d)
                 assert len(feats.enc_blocks) == feats.n_stages
                 assert len(feats.dec_blocks) == feats.n_stages - 1
 
@@ -370,7 +371,7 @@ class TestParseProperties:
 class TestFeatures:
     def test_two_stage_default_features(self):
         g = hg.build_grammar(2, 1)
-        feats = hg.extract_features(hg.default_derivation(g))
+        feats = extract_features(hg.default_derivation(g))
         assert feats.n_stages == 2
         assert feats.encoder_type == "conv"
         assert feats.enc_blocks == (2, 2)
@@ -383,12 +384,12 @@ class TestFeatures:
         g = worked_example()
         rng = np.random.default_rng(6)
         for _ in range(500):
-            feats = hg.extract_features(hg.sample_derivation(g, "uniform", rng))
+            feats = extract_features(hg.sample_derivation(g, "uniform", rng))
             assert len(feats.dec_blocks) == len(feats.enc_blocks) - 1
 
     def test_default_matches_profile(self):
         g = worked_example()
-        feats = hg.extract_features(hg.default_derivation(g))
+        feats = extract_features(hg.default_derivation(g))
         assert feats.n_stages == 4
         assert feats.enc_blocks == g.default_blocks["conv"]
         assert feats.dec_blocks == g.default_blocks["decoder"]

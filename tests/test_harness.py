@@ -326,14 +326,14 @@ class TestReplay:
     def test_single_row_lookup(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        trial = Trial(0, config, 0, 2, 9, "random", cost=CostVector(0.5, 1.25))
+        trial = Trial(0, config, 1, 2, 9, "random", cost=CostVector(0.5, 1.25))
         path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay(path, space)
         assert problem.evaluate(config, 9) == CostVector(0.5, 1.25)
     def test_missing_budget(self, tmp_path):
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
-        trial = Trial(0, config, 0, 2, 9, "random", cost=CostVector(0.5, 1.0))
+        trial = Trial(0, config, 1, 2, 9, "random", cost=CostVector(0.5, 1.0))
         path = write_history(tmp_path / "history.csv", space, [trial])
         problem = replay(path, space)
         with pytest.raises(MissingEntryError):
@@ -345,8 +345,8 @@ class TestReplay:
         failed = cs.Configuration({"p0": 0.25})
         ok = cs.Configuration({"p0": 0.75})
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(1, failed, 0, 1, 3, "random"),
-            Trial(2, ok, 0, 1, 3, "random", cost=CostVector(0.5, 1.0)),
+            Trial(1, failed, 2, 1, 3, "random"),
+            Trial(2, ok, 2, 1, 3, "random", cost=CostVector(0.5, 1.0)),
         ])
         problem = replay(path, space)
         with pytest.raises(RecordedFailure) as info:
@@ -357,9 +357,9 @@ class TestReplay:
         space = float_space(1)
         config = cs.Configuration({"p0": 0.25})
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(1, config, 0, 1, 3, "random", cost=CostVector(0.5, 1.0)),
-            Trial(2, config, 0, 1, 3, "random"),
-            Trial(3, config, 0, 1, 3, "random", cost=CostVector(0.1, 2.0)),
+            Trial(1, config, 2, 1, 3, "random", cost=CostVector(0.5, 1.0)),
+            Trial(2, config, 2, 1, 3, "random"),
+            Trial(3, config, 2, 1, 3, "random", cost=CostVector(0.1, 2.0)),
         ])
         assert replay(path, space).evaluate(config, 3) == CostVector(0.5, 1.0)
     def test_old_table_format_rejected(self, tmp_path):
@@ -372,7 +372,7 @@ class TestReplay:
             read_history_csv(path, float_space(1), LADDER)
     def test_malformed_row(self, tmp_path):
         space = float_space(1)
-        trial = Trial(0, cs.Configuration({"p0": 0.25}), 0, 2, 9, "random",
+        trial = Trial(0, cs.Configuration({"p0": 0.25}), 1, 2, 9, "random",
                       cost=CostVector(0.5, 1.0))
         path = write_history(tmp_path / "history.csv", space, [trial])
         header, row = path.read_text().splitlines()
@@ -389,7 +389,7 @@ class TestReplay:
         # -1 drops only the (empty) architecture field's separator
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, cs.Configuration({"p0": 0.25}), 0, 2, 9, "random",
+            Trial(0, cs.Configuration({"p0": 0.25}), 1, 2, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ] * 2)
         lines = path.read_text().splitlines()
@@ -407,11 +407,15 @@ class TestReplay:
         ("rung", "-1"),
         ("budget_epochs", "9"),  # rung 2's budget
         ("budget_epochs", "5"),  # on no rung
+        ("bracket", "5"),  # past s_max
+        ("bracket", "-2"),
+        ("bracket", "1"),  # starts at rung 2
+        ("bracket", "-1"),  # the default's row is at the top rung
     ])
     def test_row_no_run_writes(self, tmp_path, column, value):
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(i, cs.Configuration({"p0": 0.25}), 0, 1, 3, "random",
+            Trial(i, cs.Configuration({"p0": 0.25}), 2, 1, 3, "random",
                   cost=CostVector(0.5, 1.0)) for i in range(3)
         ])
         with open(path, newline="") as fh:
@@ -422,6 +426,33 @@ class TestReplay:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
         with pytest.raises(MalformedRowError, match="line 4"):
             read_history_csv(path, space, LADDER)
+    @pytest.mark.parametrize("changes, previous", [
+        ({"rung": "2", "budget_epochs": "9", "charged_epochs_cumulative": "12"}, 3),
+        ({"bracket": "-1", "rung": "3", "budget_epochs": "27",
+          "charged_epochs_cumulative": "33"}, None),  # the default's row
+        # continued from 7, which is no rung's budget
+        ({"rung": "2", "budget_epochs": "9", "charged_epochs_cumulative": "8"}, "line 4"),
+        # rung 2 of bracket 1 is its first: it charges its whole budget
+        ({"bracket": "1", "rung": "2", "budget_epochs": "9",
+          "charged_epochs_cumulative": "12"}, "line 4"),
+    ])
+    def test_row_continued_from_the_rung_below(self, tmp_path, changes, previous):
+        space = float_space(1)
+        path = write_history(tmp_path / "history.csv", space, [
+            Trial(i, cs.Configuration({"p0": 0.25}), 2, 1, 3, "random",
+                  cost=CostVector(0.5, 1.0)) for i in range(3)
+        ])
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        for column, value in changes.items():
+            rows[2][header.index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        if isinstance(previous, str):
+            with pytest.raises(MalformedRowError, match=previous):
+                read_history_csv(path, space, LADDER)
+        else:
+            assert read_history_csv(path, space, LADDER).trials[2].previous_budget == previous
     @pytest.mark.parametrize("old, new", [
         (",0.5,1.0,9,ok,", ",,1.0,9,ok,"),
         (",0.5,1.0,9,ok,", ",0.5,1.0,9,failed,"),
@@ -434,7 +465,7 @@ class TestReplay:
     def test_field_does_not_parse(self, tmp_path, old, new):
         space = float_space(1)
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, cs.Configuration({"p0": 0.25}), 0, 2, 9, "random",
+            Trial(0, cs.Configuration({"p0": 0.25}), 1, 2, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ])
         text = path.read_text()
@@ -446,7 +477,7 @@ class TestReplay:
         space = cs.load_space(
             Path(__file__).resolve().parents[1] / "spaces" / "hnas_grammar.json")
         path = write_history(tmp_path / "history.csv", space, [
-            Trial(0, space.default_configuration(), 0, 2, 9, "random",
+            Trial(0, space.default_configuration(), 1, 2, 9, "random",
                   cost=CostVector(0.5, 1.0)),
         ])
         assert read_history_csv(path, space, LADDER).trials[0].configuration == (
