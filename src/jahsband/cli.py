@@ -106,8 +106,7 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
         path = Path(args.manifest)
         if not path.exists():
             raise ManifestError(f"manifest file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = cs._read_json(path, ManifestError)
         unknown = set(loaded) - set(_RUN_DEFAULTS)
         if unknown:
             raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
@@ -268,8 +267,7 @@ def _load_run(run_dir: Path, seed_dir: str):
     manifest_path = run_dir / "manifest.resolved.json"
     if not manifest_path.exists():
         raise ManifestError(f"no manifest.resolved.json under {run_dir}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = cs._read_json(manifest_path, ManifestError)
     space = cs.load_space(manifest["resolved_space"])
     ladder = budget_ladder(
         manifest["min_budget"], manifest["max_budget"], manifest["eta"]

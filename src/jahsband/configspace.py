@@ -74,20 +74,19 @@ def _uniform(rng: np.random.Generator, a: float, b: float) -> float:
     return a + (b - a) * rng.random()
 
 
-@lru_cache(maxsize=4096)
 def _truncnorm_bounds(mu: float, sigma: float) -> tuple[float, float]:
+    """The normal(mu, sigma) CDF at 0 and at 1."""
     return ndtr((0.0 - mu) / sigma), ndtr((1.0 - mu) / sigma)
 
 
 def _truncnorm_sample(
-    rng: np.random.Generator, mu: float, sigma: float
+    rng: np.random.Generator, mu: float, sigma: float, bounds: tuple[float, float]
 ) -> float:
-    """One draw from a normal(mu, sigma) truncated to [0, 1], by inverse CDF.
-    The CDF bounds of [0, 1] depend on (mu, sigma) alone, so they are
-    computed once per pair; drawn between them by :func:`_uniform`, each
-    value and the stream are as ``rng.uniform`` between fresh bounds leaves
-    them."""
-    return mu + sigma * ndtri(_uniform(rng, *_truncnorm_bounds(mu, sigma)))
+    """One draw from a normal(mu, sigma) truncated to [0, 1], by inverse CDF
+    between ``bounds``, the pair's :func:`_truncnorm_bounds`, which callers
+    keep with their plan. Drawn between them by :func:`_uniform`, each value
+    and the stream are as ``rng.uniform`` between fresh bounds leaves them."""
+    return mu + sigma * ndtri(_uniform(rng, *bounds))
 
 
 @dataclass(frozen=True)
@@ -277,6 +276,12 @@ class SearchSpace:
             )
 
     def default_configuration(self) -> Configuration:
+        """Every parameter at its default; one object per space, so its
+        :func:`normalize` row is encoded once."""
+        return self._default
+
+    @cached_property
+    def _default(self) -> Configuration:
         derivation = None
         if self.grammar is not None:
             from . import grammar as hg
@@ -304,8 +309,13 @@ def normalize(space: SearchSpace, config: Configuration) -> list[float]:
     """The one encoder: a configuration's coordinates, one per parameter in
     order, then ``Grammar.unit_features`` when the space has a grammar.
     Categorical entries hold the raw category index; everything else lies in
-    [0, 1]. The configuration is validated and encoded once per space, here;
-    each call returns a fresh list, which the caller may change."""
+    [0, 1]. The configuration is validated and encoded once per space, by
+    :func:`_row`; each call returns a fresh list, which the caller may change."""
+    return list(_row(space, config))
+
+
+def _row(space: SearchSpace, config: Configuration) -> tuple[float, ...]:
+    """The :func:`normalize` row as the tuple kept on the configuration."""
     row = config._rows.get(space)
     if row is None:
         space.validate(config)
@@ -313,7 +323,7 @@ def normalize(space: SearchSpace, config: Configuration) -> list[float]:
         if space.grammar is not None:
             row += space.grammar.unit_features(config.derivation)
         row = config._rows[space] = tuple(row)
-    return list(row)
+    return row
 
 
 # sampling strategies
@@ -330,7 +340,6 @@ def choice_cdf(probs: Sequence[float]) -> tuple[float, ...]:
     return tuple(cdf.tolist())
 
 
-@lru_cache(maxsize=1024)
 def boosted_cdf(k: int, m: float, favored: int) -> tuple[float, ...]:
     """:func:`choice_cdf` of the boosted-default distribution over ``k``
     choices: weight ``m`` on index ``favored``, 1 on every other."""
@@ -356,25 +365,32 @@ def _sample_param_uniform(rng: np.random.Generator, spec: ParameterSpec) -> Any:
     return spec.values[int(rng.integers(spec.n_choices))]
 
 
-def _prior_draw(spec: ParameterSpec, center: Any, confidence: str) -> tuple:
-    """``(spec, boosted CDF, None)`` for a categorical, ``(spec, mu, sigma)``
-    for any other kind, around an in-domain ``center``."""
-    if spec.kind == CATEGORICAL:
-        m = CONFIDENCE_MULTIPLIER[confidence]
-        return spec, boosted_cdf(spec.n_choices, m, spec.values.index(center)), None
-    return spec, spec._unit(center), CONFIDENCE_SIGMA[confidence]
-
-
-@lru_cache(maxsize=256)
-def _prior_draws(space: SearchSpace, confidence: str | None) -> tuple:
-    return tuple(_prior_draw(s, s.default, confidence or s.prior_confidence)
-                 for s in space.parameters)
-
-
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+@lru_cache(maxsize=16)
+def _prior(
+    space: SearchSpace, center: tuple[float, ...], confidence: str | None
+) -> tuple:
+    """Per parameter, the prior around the :func:`normalize` row ``center``,
+    at ``confidence`` or, when None, the parameter's own:
+    ``(c, None, boosted CDF, log match, log mismatch)`` for a categorical and
+    ``(c, sigma, (lo, hi), log normalizer, None)`` for any other kind, where
+    ``(lo, hi)`` are the truncated normal's CDF bounds and the normalizer is
+    ``sigma * sqrt(2 pi) * (hi - lo)``. Sampling and :func:`log_densities`
+    read this one plan. A run needs the prior center and one incumbent per
+    bracket, each at two confidences, so few plans are kept."""
+    plan = []
+    for spec, c in zip(space.parameters, center):
+        conf = confidence or spec.prior_confidence
+        if spec.kind == CATEGORICAL:
+            m = CONFIDENCE_MULTIPLIER[conf]
+            k = m + spec.n_choices - 1
+            cdf = boosted_cdf(spec.n_choices, m, int(c))
+            plan.append((c, None, cdf, math.log(m / k), math.log(1 / k)))
+        else:
+            sigma = CONFIDENCE_SIGMA[conf]
+            lo, hi = bounds = _truncnorm_bounds(c, sigma)
+            norm = math.log(sigma * math.sqrt(2.0 * math.pi) * (hi - lo))
+            plan.append((c, sigma, bounds, norm, None))
+    return tuple(plan)
 
 
 def sample(
@@ -391,53 +407,40 @@ def sample(
     around an arbitrary configuration (confidence defaults to medium).
     Architecture derivations are drawn with the matching grammar mode.
 
-    What a prior draw needs per parameter (a categorical's boosted CDF, or
-    the unit default and sigma) is computed once per (space, confidence),
-    and per call around a center. The random calls and float operations stay
-    those of a draw that recomputes it, so the results are bit-identical.
+    "prior" is sampling around :meth:`SearchSpace.default_configuration`.
+    Both read the :func:`_prior` plan of the center's :func:`normalize` row,
+    kept per (space, row, confidence), so a center is validated and encoded
+    once. The random calls and float operations stay those of a draw that
+    recomputes the plan, so the results are bit-identical.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     assignments: dict[str, Any] = {}
-
     if strategy == "uniform":
         for spec in space.parameters:
             assignments[spec.name] = _sample_param_uniform(rng, spec)
+        mode = "uniform"
     else:
         if strategy == "prior":
-            draws = _prior_draws(space, confidence)
+            center = space.default_configuration()
         elif isinstance(strategy, tuple) and strategy[0] == "around":
-            center = strategy[1]
-            space.validate(center)
-            draws = [
-                _prior_draw(spec, center.assignments[spec.name], confidence or "medium")
-                for spec in space.parameters
-            ]
+            center, confidence = strategy[1], confidence or "medium"
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        for spec, mu, sigma in draws:
+        plan = _prior(space, _row(space, center), confidence)
+        for spec, (c, sigma, draw, _, _) in zip(space.parameters, plan):
             if sigma is None:
-                assignments[spec.name] = spec.values[draw_index(rng, mu)]
+                assignments[spec.name] = spec.values[draw_index(rng, draw)]
             else:
-                assignments[spec.name] = spec.from_unit(_truncnorm_sample(rng, mu, sigma))
+                assignments[spec.name] = spec.from_unit(
+                    _truncnorm_sample(rng, c, sigma, draw))
+        mode = ("prior", center.derivation,
+                confidence or getattr(space.grammar, "prior_confidence", None))
 
     derivation = None
     if space.grammar is not None:
         from . import grammar as hg
 
-        if strategy == "uniform":
-            derivation = hg.sample_derivation(space.grammar, "uniform", rng)
-        else:
-            if strategy == "prior":
-                center_d = hg.default_derivation(space.grammar)
-                conf = confidence or getattr(
-                    space.grammar, "prior_confidence", "medium"
-                )
-            else:
-                center_d = strategy[1].derivation
-                conf = confidence or "medium"
-            derivation = hg.sample_derivation(
-                space.grammar, ("prior", center_d, conf), rng
-            )
+        derivation = hg.sample_derivation(space.grammar, mode, rng)
     return Configuration(assignments, derivation)
 
 
@@ -454,30 +457,16 @@ def log_densities(
     parameter uses its own declared confidence. Architecture coordinates do
     not enter the sum.
 
-    A numeric parameter's log normalizer ``log(sigma * sqrt(2 pi) * mass)``
-    and a categorical one's log probabilities depend on the center alone, so
-    they are computed once per call. Each row then adds its terms in
+    The log normalizers and log probabilities come from the center's
+    :func:`_prior` plan, which sampling reads too. Each row adds its terms in
     parameter order with the operations of a row-by-row evaluation, so every
     density is bit-identical to that evaluation's.
     """
-    # (center, sigma, log normalizer, None) per numeric parameter and
-    # (center, None, log match, log mismatch) per categorical one
-    terms = []
-    for spec, c in zip(space.parameters, center):
-        conf = confidence or spec.prior_confidence
-        if spec.kind == CATEGORICAL:
-            m = CONFIDENCE_MULTIPLIER[conf]
-            k = m + spec.n_choices - 1
-            terms.append((c, None, math.log(m / k), math.log(1 / k)))
-        else:
-            sigma = CONFIDENCE_SIGMA[conf]
-            mass = ndtr((1.0 - c) / sigma) - ndtr((0.0 - c) / sigma)
-            norm = math.log(sigma * math.sqrt(2.0 * math.pi) * mass)
-            terms.append((c, sigma, norm, None))
+    plan = _prior(space, tuple(center), confidence)
     densities = []
     for row in rows:
         total = 0.0
-        for x, (c, sigma, a, b) in zip(row, terms):
+        for x, (c, sigma, _, a, b) in zip(row, plan):
             if sigma is None:
                 total += a if x == c else b
             elif 0.0 <= x <= 1.0:
@@ -489,26 +478,16 @@ def log_densities(
     return densities
 
 
-def log_prior_pdf(
-    space: SearchSpace,
-    config: Configuration,
-    center: Configuration,
-    confidence: str | None = None,
-) -> float:
-    """:func:`log_densities` of ``config`` around ``center``."""
-    return log_densities(
-        space, [normalize(space, config)], normalize(space, center), confidence
-    )[0]
-
-
 def prior_pdf(
     space: SearchSpace,
     config: Configuration,
     center: Configuration,
     confidence: str | None = None,
 ) -> float:
-    """``exp`` of :func:`log_prior_pdf`; it underflows to 0.0 in wide spaces."""
-    return math.exp(log_prior_pdf(space, config, center, confidence))
+    """``exp`` of the :func:`log_densities` of ``config`` around ``center``;
+    it underflows to 0.0 in wide spaces."""
+    return math.exp(log_densities(
+        space, [normalize(space, config)], _row(space, center), confidence)[0])
 
 
 # declarative space files
@@ -544,6 +523,16 @@ def spec_from_dict(obj: dict[str, Any]) -> ParameterSpec:
     )
 
 
+def _read_json(path: str | Path, error: type[Exception]) -> Any:
+    """``json.load`` of a UTF-8 file. A document nested too deeply for the
+    decoder raises ``error``, the reader's own, instead of RecursionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply") from None
+
+
 def load_space(source: str | Path | dict) -> SearchSpace:
     """Load a search space from a JSON file or an already-parsed dict.
 
@@ -552,8 +541,7 @@ def load_space(source: str | Path | dict) -> SearchSpace:
     parameters array.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(source, SpaceError)
     else:
         data = source
     if isinstance(data, list):

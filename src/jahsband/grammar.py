@@ -28,6 +28,7 @@ from .configspace import (
     CONFIDENCE_MULTIPLIER,
     CONFIDENCE_SIGMA,
     _round_half_up,
+    _truncnorm_bounds,
     _truncnorm_sample,
     boosted_cdf,
     draw_index,
@@ -379,16 +380,17 @@ _ENCODER_RULE = re.compile(r"^\d+E$")
 @lru_cache(maxsize=256)
 def _prior_plan(grammar: Grammar, center: Derivation, confidence: str) -> dict:
     """Per rule, how a prior draw around ``center`` picks its alternative:
-    None (the only one), ``(mu, cap)`` (a block count's truncated normal) or
-    ``(cdf, None)`` (boosted toward the center's choice). Kept per (grammar,
-    center, confidence); an invalid center raises, so it is never kept."""
+    None (the only one), ``(mu, cap, bounds)`` (a block count's truncated
+    normal and its CDF bounds) or ``(cdf, None, None)`` (boosted toward the
+    center's choice). Kept per (grammar, center, confidence); an invalid
+    center raises, so it is never kept."""
     if not validate_derivation(grammar, center):
         raise GrammarError("prior center is not a derivation of this grammar")
     defaults = _choice_map(center)
     encoder_alt = next(
         (ai for lhs, ai in defaults.items() if _ENCODER_RULE.match(lhs)), 0
     )
-    m = CONFIDENCE_MULTIPLIER[confidence]
+    m, sigma = CONFIDENCE_MULTIPLIER[confidence], CONFIDENCE_SIGMA[confidence]
     plan: dict[str, tuple | None] = {}
     for nt, alts in grammar.productions.items():
         if len(alts) == 1:
@@ -396,10 +398,11 @@ def _prior_plan(grammar: Grammar, center: Derivation, confidence: str) -> dict:
         elif nt in grammar.block_info:
             cap, profile_center = grammar.block_info[nt]
             center_count = defaults[nt] + 1 if nt in defaults else profile_center
-            plan[nt] = ((center_count - 1) / (cap - 1), cap)
+            mu = (center_count - 1) / (cap - 1)
+            plan[nt] = (mu, cap, _truncnorm_bounds(mu, sigma))
         else:
             default_alt = encoder_alt if _ENCODER_RULE.match(nt) else defaults.get(nt, 0)
-            plan[nt] = (boosted_cdf(len(alts), m, default_alt), None)
+            plan[nt] = (boosted_cdf(len(alts), m, default_alt), None, None)
     return plan
 
 
@@ -417,7 +420,7 @@ def sample_derivation(
     the branch being expanded (so a residual branch centers on the residual
     profile even when the default derivation is convolutional).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     prods = grammar.productions
 
     if mode == "uniform":
@@ -434,10 +437,10 @@ def sample_derivation(
         rule = plan[nt]
         if rule is None:
             return 0
-        mu, cap = rule
+        mu, cap, bounds = rule
         if cap is None:
             return draw_index(rng, mu)
-        coord = _truncnorm_sample(rng, mu, sigma)
+        coord = _truncnorm_sample(rng, mu, sigma, bounds)
         idx = _round_half_up(coord * (cap - 1))
         return min(max(idx, 0), cap - 1)
 

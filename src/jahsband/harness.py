@@ -427,7 +427,7 @@ class ExternalEvaluator:
             return CostVector(
                 float(objectives["primary"]), float(objectives["runtime_hours"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"bad objectives in {response!r}") from exc
 
     def _exchange(self, request: dict) -> dict:
@@ -450,9 +450,9 @@ class ExternalEvaluator:
                     raise ProtocolError("evaluator closed its output")
                 self._pending += chunk
         line, _, self._pending = self._pending.partition(b"\n")
-        try:  # not UTF-8 or not JSON
+        try:  # not UTF-8, not JSON, or nested too deeply to decode
             response = json.loads(line.decode())
-        except ValueError:
+        except (ValueError, RecursionError):
             response = None
         if not isinstance(response, dict):
             raise ProtocolError(f"malformed response: {line!r}")

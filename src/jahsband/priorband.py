@@ -450,7 +450,10 @@ def read_history_csv(
                         derivation = derivations.get(arch)
                         if derivation is None:
                             derivation = derivations[arch] = parse(space.grammar, arch)
-                    assignments = json.loads(serialized)
+                    try:
+                        assignments = json.loads(serialized)
+                    except RecursionError:
+                        raise ValueError("serialized_config: JSON nested too deeply") from None
                     if not isinstance(assignments, dict):
                         raise ValueError("serialized_config is not a JSON object")
                     config = configs[serialized, arch] = Configuration(assignments, derivation)

@@ -39,6 +39,8 @@ FAULTS = (
     "failed",  # status "failed"
     "nan",  # a NaN primary cost
     "above-one",  # a primary cost above 1
+    "huge-int",  # a primary cost of 400 digits, too large for a float
+    "deep",  # a line of 100,000 "[", nested too deeply to decode
     "grandchild",  # hang while a grandchild holds stdout open
     "split",  # a valid reply in two writes 50 ms apart
 )
@@ -95,6 +97,8 @@ def reply(request: dict, name: str | None) -> bytes:
         return b"\xff\xfe\n"
     if name == "not-object":
         return b"[]\n"
+    if name == "deep":
+        return b"[" * 100_000 + b"\n"
     if name == "failed":
         answer = {"id": request["id"], "status": "failed", "error": "scheduled"}
         return json.dumps(answer).encode() + b"\n"
@@ -104,6 +108,8 @@ def reply(request: dict, name: str | None) -> bytes:
         primary = math.nan
     elif name == "above-one":
         primary = 1.5
+    elif name == "huge-int":
+        primary = 10**400
     answer["objectives"] = {"primary": primary, "runtime_hours": runtime}
     return json.dumps(answer).encode() + b"\n"
 

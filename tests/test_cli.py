@@ -507,11 +507,31 @@ def _nan_cost_run(tmp, run):
     return str(run)
 
 
+def _deep_manifest_run(tmp, run):
+    (run / "manifest.resolved.json").write_text(DEEP_JSON)
+    return str(run)
+
+
+def _deep_config_run(tmp, run):
+    history = run / "seed_0" / "history.csv"
+    with open(history, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("serialized_config")] = DEEP_JSON
+    with open(history, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(run)
+
+
 def _manifest_run(tmp, payload):
     """A run whose manifest alone sets the seeds, the mode and the policy."""
     manifest = _write(tmp / "manifest.json", json.dumps(payload))
     return ["run", "--space", SPACE, "--eta", "3", "--min-budget", "3",
             "--max-budget", "27", "--out", str(tmp / "o"), "--manifest", manifest]
+
+
+#: a JSON document nested too deeply for the decoder, which raises
+#: RecursionError on it
+DEEP_JSON = "[" * 100_000
 
 
 #: command lines (built from a scratch directory and a finished run) that
@@ -533,6 +553,14 @@ INPUT_ERRORS = {
         + ["--manifest", _write(tmp / "m.json", "{not json")],
     "space not JSON": lambda tmp, run: small_run_args(
         tmp / "o", space=_write(tmp / "s.json", "{not json")),
+    "manifest nested too deeply": lambda tmp, run: small_run_args(tmp / "o")
+        + ["--manifest", _write(tmp / "m.json", DEEP_JSON)],
+    "space nested too deeply": lambda tmp, run: small_run_args(
+        tmp / "o", space=_write(tmp / "s.json", DEEP_JSON)),
+    "run manifest nested too deeply":
+        lambda tmp, run: ["report", "pareto", "--run", _deep_manifest_run(tmp, run)],
+    "history config nested too deeply":
+        lambda tmp, run: ["report", "pareto", "--run", _deep_config_run(tmp, run)],
     "unbalanced external command": lambda tmp, run: small_run_args(tmp / "o")
         + ["--problem", "external", "--external-cmd", "python 'x"],
     "NaN external timeout": lambda tmp, run: small_run_args(tmp / "o")

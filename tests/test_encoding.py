@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,7 +63,7 @@ PRIOR_PDF_HEX = [
     ("0x1.98aa8f082dc02p-6", "0x1.04c35d7136c3dp-76"),
 ]
 
-# float.hex of log_prior_pdf for the same pairs
+# float.hex of the log density of the same pairs
 LOG_PRIOR_PDF_HEX = [
     ("0x1.e5f0e15557cb6p+1", "-0x1.a0c23bc004e0cp+5"),
     ("-0x1.0180a8efb24d4p+4", "0x1.4468aeec670a6p+3"),
@@ -118,7 +119,8 @@ def test_prior_pdf_bits_pinned():
     configs = pinned_configurations(space)
     for config, want_log, want in zip(configs, LOG_PRIOR_PDF_HEX, PRIOR_PDF_HEX):
         pairs = ((configs[0], None), (configs[1], "high"))
-        got = [cs.log_prior_pdf(space, config, c, conf) for c, conf in pairs]
+        got = [cs.log_densities(space, [cs.normalize(space, config)],
+                                cs.normalize(space, c), conf)[0] for c, conf in pairs]
         assert tuple(v.hex() for v in got) == want_log
         # exp of a sum of logs differs from the product in the last bits
         for (center, conf), product in zip(pairs, want):
@@ -314,6 +316,52 @@ def test_sample_matches_oracle(space, seed, confidence):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+SHIPPED_SPACES = [cs.load_space(p) for p in sorted(SPACE_FILE.parent.glob("*.json"))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=st.sampled_from(SHIPPED_SPACES), seed=st.integers(0, 2**32 - 1))
+def test_prior_is_sampling_around_the_default(space, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    around = ("around", space.default_configuration())
+    for _ in range(3):
+        got = cs.sample(space, "prior", rng, confidence="medium")
+        assert_same_configuration(got, cs.sample(space, around, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_center_encoded_once_across_draws(monkeypatch):
+    space = cs.load_space(SPACE_FILE)
+    center = cs.sample(space, "uniform", 0)
+    unit_features, encoded = hg.Grammar.unit_features, []
+
+    def counting(grammar, derivation):
+        encoded.append(derivation)
+        return unit_features(grammar, derivation)
+
+    monkeypatch.setattr(hg.Grammar, "unit_features", counting)
+    rng = np.random.default_rng(1)
+    for strategy in (("around", center), "prior"):
+        for _ in range(50):
+            cs.sample(space, strategy, rng)
+    assert encoded == [center.derivation, space.default_configuration().derivation]
+    # a center outside the space raises before it draws anything
+    spec = space["Momentum (SGD)"]
+    outside = cs.Configuration({**center.assignments, spec.name: spec.hi * 2},
+                               center.derivation)
+    state = rng.bit_generator.state
+    with pytest.raises(cs.OutOfDomainError):
+        cs.sample(space, ("around", outside), rng)
+    assert rng.bit_generator.state == state
+
+
+def test_default_configuration_is_one_object_per_space():
+    space, twin = cs.load_space(SPACE_FILE), cs.load_space(SPACE_FILE)
+    assert space.default_configuration() is space.default_configuration()
+    assert twin.default_configuration() is not space.default_configuration()
+    assert twin.default_configuration() == space.default_configuration()
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), stages=st.integers(2, 6),
        scale=st.integers(1, 3), confidence=st.sampled_from(sorted(cs.CONFIDENCE_SIGMA)))
@@ -358,7 +406,7 @@ def test_uniform_draw_is_numpy_uniform(seed, data, ends):
 def test_truncnorm_sample_matches_oracle(seed, mu, sigma):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(4):
-        got = cs._truncnorm_sample(rng, mu, sigma)
+        got = cs._truncnorm_sample(rng, mu, sigma, cs._truncnorm_bounds(mu, sigma))
         assert got.hex() == sampling_oracle._truncnorm_sample(ref, mu, sigma).hex()
     assert rng.bit_generator.state == ref.bit_generator.state
 

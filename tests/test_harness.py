@@ -671,6 +671,7 @@ FAULT_OUTCOMES = {
     "exit": ProtocolError, "hang": EvaluatorTimeout, "not-json": ProtocolError,
     "not-utf8": ProtocolError, "not-object": ProtocolError, "wrong-id": ProtocolError,
     "failed": EvaluatorReportedFailure, "nan": None, "above-one": None,
+    "huge-int": ProtocolError, "deep": ProtocolError,
     "grandchild": EvaluatorTimeout, "split": None,
 }
 FAULT_SCHEDULES = st.fixed_dictionaries({

@@ -657,7 +657,7 @@ print(json.dumps(seen))
         assert len({id(t.configuration) for t in trials}) < len(trials)
         assert max(encoded.values()) == 1
         assert all(encoded[id(t.configuration)] == 1 for t in trials)
-        assert len(encoded) > len({id(t.configuration) for t in trials})
+        assert set(encoded) == {id(t.configuration) for t in trials}
         monkeypatch.undo()
         fresh = cs.load_space(SPACE_FILE)
         for history in (result.history, read_history_csv(path, space, ladder)):
