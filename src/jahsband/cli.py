@@ -280,20 +280,14 @@ def _load_run(run_dir: Path, seed_dir: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if args.report_action == "importance":
+    if args.report_action in ("importance", "pareto"):
         _, _, _, history = _load_run(Path(args.run), args.seed_dir)
-        report = analysis.fanova_first_order(
-            history, trees=args.trees, seed=args.rf_seed
-        )
-        out = Path(args.run) / args.seed_dir / "importance.json"
-        analysis.write_importance_json(report, out)
-        print(out)
-        return EXIT_OK
-
-    if args.report_action == "pareto":
-        _, _, _, history = _load_run(Path(args.run), args.seed_dir)
-        out = Path(args.run) / args.seed_dir / "pareto.json"
-        analysis.write_pareto_json(priorband.RunResult.of(history), out)
+        out = Path(args.run) / args.seed_dir / f"{args.report_action}.json"
+        if args.report_action == "importance":
+            analysis.write_importance_json(analysis.fanova_first_order(
+                history, trees=args.trees, seed=args.rf_seed), out)
+        else:
+            analysis.write_pareto_json(priorband.RunResult.of(history), out)
         print(out)
         return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -108,13 +109,19 @@ class ParameterSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise SpaceError(f"{self.name}: unknown kind {self.kind!r}")
-        if self.prior_confidence not in CONFIDENCE_SIGMA:
+        if self.prior_confidence not in tuple(CONFIDENCE_SIGMA):
             raise SpaceError(
                 f"{self.name}: confidence must be one of low/medium/high"
             )
         if self.kind in _NUMERIC_KINDS:
             if self.lo is None or self.hi is None:
                 raise SpaceError(f"{self.name}: numeric kinds need lo and hi")
+            if not all(isinstance(b, (int, float)) and not isinstance(b, bool)
+                       and abs(b) <= sys.float_info.max for b in (self.lo, self.hi)):
+                raise SpaceError(f"{self.name}: lo and hi must be finite numbers")
+            if self.kind == INTEGER and not all(
+                    b == int(b) and -2**63 <= b < 2**63 for b in (self.lo, self.hi)):
+                raise SpaceError(f"{self.name}: integer bounds must be whole int64s")
             if not (self.lo < self.hi):
                 raise SpaceError(f"{self.name}: requires lo < hi")
             if self.kind == FLOAT and not math.isfinite(self.hi - self.lo):
@@ -137,9 +144,9 @@ class ParameterSpec:
         if self.kind in _NUMERIC_KINDS:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 return False
-            if self.kind == INTEGER and float(value) != int(value):
+            if not self.lo <= value <= self.hi:
                 return False
-            return self.lo <= value <= self.hi
+            return self.kind != INTEGER or float(value) == int(value)
         return value in self.values
 
     @property
@@ -365,32 +372,38 @@ def _sample_param_uniform(rng: np.random.Generator, spec: ParameterSpec) -> Any:
     return spec.values[int(rng.integers(spec.n_choices))]
 
 
+def _prior_entry(c: float, n_choices: int | None, confidence: str) -> tuple:
+    """The prior of one coordinate around its center ``c``: with
+    ``n_choices``, ``(c, None, boosted CDF, log match, log mismatch)`` for a
+    categorical choice whose center is index ``c``; without,
+    ``(c, sigma, (lo, hi), log normalizer, None)`` for a truncated normal on
+    [0, 1], where ``(lo, hi)`` are its CDF bounds and the normalizer is
+    ``sigma * sqrt(2 pi) * (hi - lo)``. Parameters and grammar rules both
+    take their entries from here."""
+    if n_choices is not None:
+        m = CONFIDENCE_MULTIPLIER[confidence]
+        k = m + n_choices - 1
+        cdf = boosted_cdf(n_choices, m, int(c))
+        return (c, None, cdf, math.log(m / k), math.log(1 / k))
+    sigma = CONFIDENCE_SIGMA[confidence]
+    lo, hi = bounds = _truncnorm_bounds(c, sigma)
+    norm = math.log(sigma * math.sqrt(2.0 * math.pi) * (hi - lo))
+    return (c, sigma, bounds, norm, None)
+
+
 @lru_cache(maxsize=16)
 def _prior(
     space: SearchSpace, center: tuple[float, ...], confidence: str | None
 ) -> tuple:
-    """Per parameter, the prior around the :func:`normalize` row ``center``,
-    at ``confidence`` or, when None, the parameter's own:
-    ``(c, None, boosted CDF, log match, log mismatch)`` for a categorical and
-    ``(c, sigma, (lo, hi), log normalizer, None)`` for any other kind, where
-    ``(lo, hi)`` are the truncated normal's CDF bounds and the normalizer is
-    ``sigma * sqrt(2 pi) * (hi - lo)``. Sampling and :func:`log_densities`
-    read this one plan. A run needs the prior center and one incumbent per
-    bracket, each at two confidences, so few plans are kept."""
-    plan = []
-    for spec, c in zip(space.parameters, center):
-        conf = confidence or spec.prior_confidence
-        if spec.kind == CATEGORICAL:
-            m = CONFIDENCE_MULTIPLIER[conf]
-            k = m + spec.n_choices - 1
-            cdf = boosted_cdf(spec.n_choices, m, int(c))
-            plan.append((c, None, cdf, math.log(m / k), math.log(1 / k)))
-        else:
-            sigma = CONFIDENCE_SIGMA[conf]
-            lo, hi = bounds = _truncnorm_bounds(c, sigma)
-            norm = math.log(sigma * math.sqrt(2.0 * math.pi) * (hi - lo))
-            plan.append((c, sigma, bounds, norm, None))
-    return tuple(plan)
+    """Per parameter, the :func:`_prior_entry` around the :func:`normalize`
+    row ``center``, at ``confidence`` or, when None, the parameter's own.
+    Sampling and :func:`log_densities` read this one plan. A run needs the
+    prior center and one incumbent per bracket, each at two confidences, so
+    few plans are kept."""
+    return tuple(
+        _prior_entry(c, spec.n_choices if spec.kind == CATEGORICAL else None,
+                     confidence or spec.prior_confidence)
+        for spec, c in zip(space.parameters, center))
 
 
 def sample(
@@ -504,7 +517,9 @@ _KIND_ALIASES = {
 }
 
 
-def spec_from_dict(obj: dict[str, Any]) -> ParameterSpec:
+def spec_from_dict(obj: Any) -> ParameterSpec:
+    if not isinstance(obj, dict):
+        raise SpaceError(f"parameter {obj!r} is not a JSON object")
     kind = _KIND_ALIASES.get(str(obj.get("kind", "")).lower())
     if kind is None:
         raise SpaceError(f"unknown kind in {obj!r}")
@@ -512,6 +527,8 @@ def spec_from_dict(obj: dict[str, Any]) -> ParameterSpec:
         if key not in obj:
             raise SpaceError(f"parameter {obj!r} has no {key!r}")
     values = obj.get("values")
+    if not isinstance(values, (list, tuple, type(None))):
+        raise SpaceError(f"{obj['name']}: values must be a list")
     return ParameterSpec(
         name=obj["name"],
         kind=kind,
@@ -546,10 +563,12 @@ def load_space(source: str | Path | dict) -> SearchSpace:
         data = source
     if isinstance(data, list):
         data = {"parameters": data}
+    if not isinstance(data, dict) or not isinstance(data.get("parameters", []), list):
+        raise SpaceError("a space is a JSON object with a list of parameters")
     specs = [spec_from_dict(o) for o in data.get("parameters", [])]
     grammar = None
     gspec = data.get("grammar")
-    if gspec:
+    if gspec is not None:
         from . import grammar as hg
 
         grammar = hg.grammar_from_dict(gspec)

@@ -18,6 +18,7 @@ structural.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterator
@@ -25,12 +26,10 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from .configspace import (
-    CONFIDENCE_MULTIPLIER,
     CONFIDENCE_SIGMA,
+    _prior_entry,
     _round_half_up,
-    _truncnorm_bounds,
     _truncnorm_sample,
-    boosted_cdf,
     draw_index,
 )
 
@@ -141,11 +140,17 @@ class Grammar:
         count and its total block count, each relative to this grammar's
         range. Both counts are read off the derivation: the stage count is
         the number of encoder block children, and block rule alternative i
-        holds i + 1 blocks."""
+        holds i + 1 blocks. Anything not shaped like a U-Net derivation
+        raises :class:`GrammarError`."""
         rules = self.block_info
-        _, _, (_, _, encoder, _, decoder, _) = derivation  # U-Net(kE, kD)
-        enc = [c[1] + 1 for c in encoder[2] if isinstance(c, tuple) and c[0] in rules]
-        dec = [c[1] + 1 for c in decoder[2] if isinstance(c, tuple) and c[0] in rules]
+        try:
+            _, _, (_, _, encoder, _, decoder, _) = derivation  # U-Net(kE, kD)
+            enc = [c[1] + 1 for c in encoder[2] if isinstance(c, tuple) and c[0] in rules]
+            dec = [c[1] + 1 for c in decoder[2] if isinstance(c, tuple) and c[0] in rules]
+        except (TypeError, ValueError, IndexError):
+            enc = dec = []
+        if len(dec) != len(enc) - 1:
+            raise GrammarError("not a U-Net derivation")
         lo, hi = self.n_stages_min, self.n_stages_max
         stages = (len(enc) - lo) / (hi - lo) if hi > lo else 0.0
         min_total, max_total = self.total_blocks_range
@@ -171,6 +176,8 @@ def build_grammar(
         raise InvalidStageCountError(f"n_stages_max={n_stages_max} < 2")
     if model_scale_max < 1:
         raise GrammarError("model_scale_max must be >= 1")
+    if prior_confidence not in tuple(CONFIDENCE_SIGMA):
+        raise GrammarError("confidence must be one of low/medium/high")
     profile = default_block_profile(n_stages_max)
     if default_blocks:
         profile.update(
@@ -237,47 +244,46 @@ def build_grammar(
 
 def count_derivations(grammar: Grammar) -> int:
     """Number of distinct complete derivations (analytic, no enumeration)."""
-    memo: dict[str, int] = {}
-    visiting: set[str] = set()
+    memo: dict[str, int | None] = {}  # None while a rule is being counted
 
     def count(sym: str) -> int:
-        if not grammar.is_nonterminal(sym):
-            return 1
-        if sym in memo:
-            return memo[sym]
-        if sym in visiting:
+        if sym not in memo:
+            memo[sym] = None
+            memo[sym] = sum(math.prod(count(nt) for _, nt in slots)
+                            for _, slots in grammar.expansions[sym])
+        elif memo[sym] is None:
             raise GrammarError(f"grammar is cyclic at {sym}")
-        visiting.add(sym)
-        total = 0
-        for alt in grammar.productions[sym]:
-            prod = 1
-            for s in alt:
-                prod *= count(s)
-            total += prod
-        visiting.discard(sym)
-        memo[sym] = total
-        return total
+        return memo[sym]
 
     return count(grammar.start)
 
 
-def _expand_all(grammar: Grammar, sym: str, memo: dict) -> list[Derivation]:
-    if sym in memo:
-        return memo[sym]
-    out: list[Derivation] = []
+def _expand(grammar: Grammar, sym: str, memo: dict) -> Iterator[Derivation]:
+    """Yield the derivations of ``sym`` in lexicographic order. Those of
+    each nonterminal below it are listed once into ``memo``; those of
+    ``sym`` itself stream."""
     for ai, (alt, slots) in enumerate(grammar.expansions[sym]):
         if not slots:
-            out.append((sym, ai, alt))
+            yield (sym, ai, alt)
             continue
-        sublists = [_expand_all(grammar, nt, memo) for _, nt in slots]
-        template = list(alt)
-        for combo in itertools.product(*sublists):
-            t = list(template)
-            for (pos, _), node in zip(slots, combo):
-                t[pos] = node
-            out.append((sym, ai, tuple(t)))
-    memo[sym] = out
-    return out
+        for _, nt in slots:
+            if nt not in memo:
+                memo[nt] = list(_expand(grammar, nt, memo))
+        t = list(alt)
+        if len(slots) == 2:
+            # hot path: the start rule of U-Net grammars
+            (i0, first), (i1, second) = slots
+            second = memo[second]
+            for a_node in memo[first]:
+                t[i0] = a_node
+                for b_node in second:
+                    t[i1] = b_node
+                    yield (sym, ai, tuple(t))
+        else:
+            for combo in itertools.product(*(memo[nt] for _, nt in slots)):
+                for (pos, _), node in zip(slots, combo):
+                    t[pos] = node
+                yield (sym, ai, tuple(t))
 
 
 def enumerate_derivations(
@@ -292,50 +298,25 @@ def enumerate_derivations(
     """
     if limit is not None and limit < 1:
         raise GrammarError("limit must be >= 1")
-
-    def _iter_start() -> Iterator[Derivation]:
-        memo: dict[str, list[Derivation]] = {}
-        start = grammar.start
-        for ai, (alt, slots) in enumerate(grammar.expansions[start]):
-            if not slots:
-                yield (start, ai, alt)
-                continue
-            sublists = [_expand_all(grammar, nt, memo) for _, nt in slots]
-            t = list(alt)
-            if len(slots) == 2:
-                # hot path: the start rule of U-Net grammars
-                (i0, _), (i1, _) = slots
-                first, second = sublists
-                for a_node in first:
-                    t[i0] = a_node
-                    for b_node in second:
-                        t[i1] = b_node
-                        yield (start, ai, tuple(t))
-            else:
-                for combo in itertools.product(*sublists):
-                    for (pos, _), node in zip(slots, combo):
-                        t[pos] = node
-                    yield (start, ai, tuple(t))
-
-    gen = _iter_start()
+    gen = _expand(grammar, grammar.start, {})
     return gen if limit is None else itertools.islice(gen, limit)
 
 
 # sampling
 
-def _build(grammar: Grammar, sym: str, choose: Callable[[str], int]) -> Derivation:
+def _build(expansions: dict, sym: str, choose: Callable[[str], int]) -> Derivation:
     """The derivation of ``sym`` whose alternatives ``choose`` picks, depth
-    first and left to right. Only the nonterminal slots that
-    :attr:`Grammar.expansions` lists once per grammar are filled, and an
-    all-terminal alternative is its own children tuple; ``choose`` is called
-    in the same order as before, so random draws stay bit-identical."""
+    first and left to right, from a grammar's :attr:`Grammar.expansions`:
+    only nonterminal slots are filled, and an all-terminal alternative is
+    its own children tuple. ``choose`` is called in the same order as
+    before, so random draws stay bit-identical."""
     ai = choose(sym)
-    alt, slots = grammar.expansions[sym][ai]
+    alt, slots = expansions[sym][ai]
     if not slots:
         return (sym, ai, alt)
     children = list(alt)
     for i, nt in slots:
-        children[i] = _build(grammar, nt, choose)
+        children[i] = _build(expansions, nt, choose)
     return (sym, ai, tuple(children))
 
 
@@ -358,7 +339,7 @@ def default_derivation(grammar: Grammar) -> Derivation:
             return DROPOUT_OPTIONS.index("NoDropout")
         return 0  # conv encoder, sole decoder, InstanceNorm, LeakyReLU
 
-    return _build(grammar, grammar.start, choose)
+    return _build(grammar.expansions, grammar.start, choose)
 
 
 def _choice_map(derivation: Derivation) -> dict[str, int]:
@@ -380,17 +361,17 @@ _ENCODER_RULE = re.compile(r"^\d+E$")
 @lru_cache(maxsize=256)
 def _prior_plan(grammar: Grammar, center: Derivation, confidence: str) -> dict:
     """Per rule, how a prior draw around ``center`` picks its alternative:
-    None (the only one), ``(mu, cap, bounds)`` (a block count's truncated
-    normal and its CDF bounds) or ``(cdf, None, None)`` (boosted toward the
-    center's choice). Kept per (grammar, center, confidence); an invalid
-    center raises, so it is never kept."""
+    None (the only one) or the rule's ``configspace._prior_entry`` and its
+    last alternative's index. The entry is a truncated normal at
+    ``(count - 1) / (cap - 1)`` for a block count and a boosted categorical
+    toward the center's choice otherwise. Kept per (grammar, center,
+    confidence); an invalid center raises, so it is never kept."""
     if not validate_derivation(grammar, center):
         raise GrammarError("prior center is not a derivation of this grammar")
     defaults = _choice_map(center)
     encoder_alt = next(
         (ai for lhs, ai in defaults.items() if _ENCODER_RULE.match(lhs)), 0
     )
-    m, sigma = CONFIDENCE_MULTIPLIER[confidence], CONFIDENCE_SIGMA[confidence]
     plan: dict[str, tuple | None] = {}
     for nt, alts in grammar.productions.items():
         if len(alts) == 1:
@@ -398,11 +379,11 @@ def _prior_plan(grammar: Grammar, center: Derivation, confidence: str) -> dict:
         elif nt in grammar.block_info:
             cap, profile_center = grammar.block_info[nt]
             center_count = defaults[nt] + 1 if nt in defaults else profile_center
-            mu = (center_count - 1) / (cap - 1)
-            plan[nt] = (mu, cap, _truncnorm_bounds(mu, sigma))
+            entry = _prior_entry((center_count - 1) / (cap - 1), None, confidence)
+            plan[nt] = (entry, cap - 1)
         else:
             default_alt = encoder_alt if _ENCODER_RULE.match(nt) else defaults.get(nt, 0)
-            plan[nt] = (boosted_cdf(len(alts), m, default_alt), None, None)
+            plan[nt] = (_prior_entry(default_alt, len(alts), confidence), len(alts) - 1)
     return plan
 
 
@@ -424,27 +405,25 @@ def sample_derivation(
     prods = grammar.productions
 
     if mode == "uniform":
-        return _build(grammar, grammar.start,
+        return _build(grammar.expansions, grammar.start,
                       lambda nt: int(rng.integers(len(prods[nt]))))
 
     if not (isinstance(mode, tuple) and mode[0] == "prior"):
         raise GrammarError(f"unknown mode {mode!r}")
     _, center, confidence = mode
     plan = _prior_plan(grammar, center, confidence)
-    sigma = CONFIDENCE_SIGMA[confidence]
 
     def choose(nt: str) -> int:
         rule = plan[nt]
         if rule is None:
             return 0
-        mu, cap, bounds = rule
-        if cap is None:
-            return draw_index(rng, mu)
-        coord = _truncnorm_sample(rng, mu, sigma, bounds)
-        idx = _round_half_up(coord * (cap - 1))
-        return min(max(idx, 0), cap - 1)
+        (c, sigma, draw, _, _), top = rule
+        if sigma is None:
+            return draw_index(rng, draw)
+        idx = _round_half_up(_truncnorm_sample(rng, c, sigma, draw) * top)
+        return min(max(idx, 0), top)
 
-    return _build(grammar, grammar.start, choose)
+    return _build(grammar.expansions, grammar.start, choose)
 
 
 def validate_derivation(grammar: Grammar, derivation: Derivation) -> bool:
@@ -472,11 +451,7 @@ def validate_derivation(grammar: Grammar, derivation: Derivation) -> bool:
 def _join_tokens(tokens: Any) -> str:
     parts: list[str] = []
     for tok in tokens:
-        if not parts:
-            parts.append(tok)
-        elif tok in ("(", ")", ","):
-            parts.append(tok)
-        elif parts[-1].endswith("("):
+        if not parts or tok in ("(", ")", ",") or parts[-1].endswith("("):
             parts.append(tok)
         else:
             parts.append(" " + tok)
@@ -555,11 +530,21 @@ def parse(grammar: Grammar, text: str) -> Derivation:
 
 # declarative form
 
-def grammar_from_dict(obj: dict[str, Any]) -> Grammar:
+def grammar_from_dict(obj: Any) -> Grammar:
+    """The grammar a space file's ``grammar`` object declares."""
+    if not isinstance(obj, dict):
+        raise GrammarError("the grammar section must be a JSON object")
+    n, scale = obj.get("n_stages_max"), obj.get("model_scale_max", 1)
+    if type(n) is not int or type(scale) is not int:
+        raise GrammarError("n_stages_max and model_scale_max must be integers")
     blocks = obj.get("default_blocks") or {}
+    if not isinstance(blocks, dict) or not all(
+            isinstance(v, (list, tuple)) and all(type(b) is int for b in v)
+            for v in blocks.values()):
+        raise GrammarError("default_blocks must map names to lists of integers")
     return build_grammar(
-        n_stages_max=int(obj["n_stages_max"]),
-        model_scale_max=int(obj.get("model_scale_max", 1)),
+        n_stages_max=n,
+        model_scale_max=scale,
         default_blocks={k: tuple(v) for k, v in blocks.items()},
         prior_confidence=obj.get("confidence", "medium"),
     )

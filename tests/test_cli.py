@@ -534,6 +534,29 @@ def _manifest_run(tmp, payload):
 DEEP_JSON = "[" * 100_000
 
 
+def _space_case(edit):
+    """An INPUT_ERRORS case: a run on the shipped space, which ``edit`` turns
+    into the document the run loads."""
+    def case(tmp, run):
+        doc = edit(json.loads(Path(SPACE).read_text()))
+        return small_run_args(tmp / "o", space=_write(tmp / "s.json", json.dumps(doc)))
+    return case
+
+
+def _extra_parameter(**fields):
+    """The shipped space with one more parameter, a float on [0, 1] unless
+    ``fields`` say otherwise."""
+    param = {"name": "x", "kind": "float", "lo": 0, "hi": 1, "default": 1, **fields}
+    return _space_case(lambda doc: {**doc, "parameters": doc["parameters"] + [param]})
+
+
+def _grammar_section(**fields):
+    """The shipped space with ``fields`` set in its grammar section; a field
+    set to None is dropped."""
+    return _space_case(lambda doc: {**doc, "grammar": {
+        k: v for k, v in {**doc["grammar"], **fields}.items() if v is not None}})
+
+
 #: command lines (built from a scratch directory and a finished run) that
 #: exited 2 only through a bare ValueError catch before it was narrowed
 INPUT_ERRORS = {
@@ -588,6 +611,29 @@ INPUT_ERRORS = {
     "negative forest seed":
         lambda tmp, run: ["report", "importance", "--run", str(run), "--rf-seed", "-1"],
     "non-finite cost": lambda tmp, run: ["report", "pareto", "--run", _nan_cost_run(tmp, run)],
+    # each once a traceback, an exit after the output directory was made,
+    # or a run on a value the space file did not mean
+    "string bound": _extra_parameter(lo="0"),
+    "bool bound": _extra_parameter(lo=False),
+    "infinite log bound": _extra_parameter(kind="log_float", lo=1, hi=float("inf")),
+    "infinite integer bound": _extra_parameter(kind="integer", hi=float("inf")),
+    "fractional integer bound": _extra_parameter(kind="integer", lo=1.5, hi=9, default=2),
+    "integer bound beyond int64": _extra_parameter(kind="integer", hi=1e300),
+    "infinite integer default": _extra_parameter(kind="integer", default=float("inf")),
+    "grammar without n_stages_max": _grammar_section(n_stages_max=None),
+    "string n_stages_max": _grammar_section(n_stages_max="abc"),
+    "fractional n_stages_max": _grammar_section(n_stages_max=4.7),
+    "string model_scale_max": _grammar_section(model_scale_max="2"),
+    "block profile not a list": _grammar_section(default_blocks={"conv": 3}),
+    "unknown grammar confidence": _grammar_section(confidence="extreme"),
+    "grammar confidence not a string": _grammar_section(confidence=["low"]),
+    "parameter confidence not a string": _extra_parameter(confidence=["low"]),
+    "grammar not an object": _space_case(lambda doc: {**doc, "grammar": [4]}),
+    "parameter not an object":
+        _space_case(lambda doc: {**doc, "parameters": doc["parameters"] + [5]}),
+    "space not an object": _space_case(lambda doc: 5),
+    "parameters not an array": _space_case(lambda doc: {**doc, "parameters": 5}),
+    "values not an array": _extra_parameter(kind="categorical", values=5, default=5),
     # rung 0 of the recorded 3..27 ladder is budget 3, of 1..27 budget 1
     "replay table of another ladder": lambda tmp, run: small_run_args(tmp / "o") + [
         "--min-budget", "1", "--problem", "replay",

@@ -362,6 +362,25 @@ def test_default_configuration_is_one_object_per_space():
     assert twin.default_configuration() == space.default_configuration()
 
 
+@pytest.mark.parametrize("derivation", [
+    ("S", 0, ()),
+    ("S", 0, ("U-Net", "(", "abc", ",", "xyz", ")")),
+    ("S", 0, ("U-Net", "(", ("4E", 0, ()), ",", ("4D", 0, ()), ")")),
+])
+def test_non_unet_derivation_is_a_grammar_error(derivation):
+    """Encoding, sampling around and evaluating a configuration whose
+    derivation is not shaped like a U-Net raise GrammarError, not the
+    unpacking error underneath."""
+    space = cs.load_space(SPACE_FILE)
+    config = cs.Configuration(dict(space.default_configuration().assignments), derivation)
+    problem = SyntheticProblem.from_space(space, b_max=243)
+    for call in (lambda: cs.normalize(space, config),
+                 lambda: cs.sample(space, ("around", config), 0),
+                 lambda: problem.evaluate(config, 1)):
+        with pytest.raises(hg.GrammarError, match="not a U-Net derivation"):
+            call()
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), stages=st.integers(2, 6),
        scale=st.integers(1, 3), confidence=st.sampled_from(sorted(cs.CONFIDENCE_SIGMA)))

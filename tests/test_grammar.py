@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jahsband import grammar as hg
@@ -366,6 +366,57 @@ class TestParseProperties:
         outcome as the frozen parser, which tries every alternative."""
         g, text = case
         assert parse_outcome(hg.parse, g, text) == parse_outcome(oracle.parse, g, text)
+
+
+@st.composite
+def acyclic_grammars(draw):
+    """Grammars whose rule i names only the rules after it, as in
+    grammar_texts, but with a symbol as likely to be a rule as a terminal, so
+    the start and inner rules have alternatives with 0 to 4 nonterminal
+    slots; their languages hold at most 2,000 derivations."""
+    names = [f"R{i}" for i in range(draw(st.integers(1, 5)))]
+
+    def symbols(i):
+        later = names[i + 1:]
+        return st.sampled_from(TERMINALS) | st.sampled_from(later) if later \
+            else st.sampled_from(TERMINALS)
+
+    productions = {
+        name: tuple(draw(st.lists(st.lists(symbols(i), max_size=4).map(tuple),
+                                  min_size=1, max_size=3)))
+        for i, name in enumerate(names)}
+    g = hg.Grammar(productions, start="R0")
+    assume(hg.count_derivations(g) <= 2000)
+    return g
+
+
+def expansions_by_recursion(g, symbols):
+    """Every expansion of a sequence of symbols, in lexicographic order: the
+    first symbol's derivations (alternative index first, then children left
+    to right) outermost."""
+    if not symbols:
+        yield ()
+        return
+    head, rest = symbols[0], symbols[1:]
+    heads = [head] if head not in g.productions else (
+        (head, ai, children)
+        for ai, alt in enumerate(g.productions[head])
+        for children in expansions_by_recursion(g, alt))
+    for node in heads:
+        for tail in expansions_by_recursion(g, rest):
+            yield (node,) + tail
+
+
+class TestEnumerateProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(g=acyclic_grammars(), k=st.integers(1, 50))
+    def test_enumeration_is_the_recursive_one(self, g, k):
+        """The same derivations in the same order as plain recursion, as
+        many as count_derivations says, and limit=k gives the first k."""
+        want = [d for (d,) in expansions_by_recursion(g, (g.start,))]
+        assert list(hg.enumerate_derivations(g)) == want
+        assert len(want) == hg.count_derivations(g)
+        assert list(hg.enumerate_derivations(g, k)) == want[:k]
 
 
 class TestFeatures:
