@@ -664,10 +664,8 @@ def write_incumbent_trajectory(history: RunHistory, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "charged_epochs", "incumbent_primary"])
-        charged = 0
         best: float | None = None
-        for i, t in enumerate(history.trials):
-            charged += t.charged_epochs
+        for i, (t, charged) in enumerate(zip(history.trials, history.charged)):
             if t.cost is not None and t.budget == history.b_max:
                 best = t.cost.primary if best is None else min(best, t.cost.primary)
             writer.writerow([i, charged, repr(best) if best is not None else ""])

@@ -107,6 +107,8 @@ class ParameterSpec:
     prior_confidence: str = "medium"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise SpaceError(f"parameter name {self.name!r} is not a string")
         if self.kind not in _KINDS:
             raise SpaceError(f"{self.name}: unknown kind {self.kind!r}")
         if self.prior_confidence not in tuple(CONFIDENCE_SIGMA):

@@ -140,21 +140,28 @@ class Grammar:
         count and its total block count, each relative to this grammar's
         range. Both counts are read off the derivation: the stage count is
         the number of encoder block children, and block rule alternative i
-        holds i + 1 blocks. Anything not shaped like a U-Net derivation
-        raises :class:`GrammarError`."""
+        holds i + 1 blocks. Anything not shaped like a U-Net derivation, or
+        with a stage rule, block rule or block count this grammar does not
+        have, raises :class:`GrammarError`."""
         rules = self.block_info
         try:
             _, _, (_, _, encoder, _, decoder, _) = derivation  # U-Net(kE, kD)
-            enc = [c[1] + 1 for c in encoder[2] if isinstance(c, tuple) and c[0] in rules]
-            dec = [c[1] + 1 for c in decoder[2] if isinstance(c, tuple) and c[0] in rules]
-        except (TypeError, ValueError, IndexError):
-            enc = dec = []
-        if len(dec) != len(enc) - 1:
-            raise GrammarError("not a U-Net derivation")
+            # a side's nodes are its norm, nonlinearity and dropout, then its blocks
+            enc = [c for c in encoder[2] if isinstance(c, tuple)][3:]
+            dec = [c for c in decoder[2] if isinstance(c, tuple)][3:]
+            known = encoder[0] in self.productions and decoder[0] in self.productions
+            total = 0
+            for lhs, ai, _ in enc + dec:
+                known = known and 0 <= ai < rules[lhs][0]
+                total += ai + 1
+        except (TypeError, ValueError, IndexError, KeyError):
+            known = False
+        if not known or len(dec) != len(enc) - 1:
+            raise GrammarError("not a U-Net derivation of this grammar")
         lo, hi = self.n_stages_min, self.n_stages_max
         stages = (len(enc) - lo) / (hi - lo) if hi > lo else 0.0
         min_total, max_total = self.total_blocks_range
-        blocks = (sum(enc) + sum(dec) - min_total) / (max_total - min_total) \
+        blocks = (total - min_total) / (max_total - min_total) \
             if max_total > min_total else 0.0
         return stages, blocks
 
@@ -180,6 +187,9 @@ def build_grammar(
         raise GrammarError("confidence must be one of low/medium/high")
     profile = default_block_profile(n_stages_max)
     if default_blocks:
+        unknown = [k for k in default_blocks if k not in profile]
+        if unknown:
+            raise GrammarError(f"unknown default_blocks keys {unknown}")
         profile.update(
             {k: tuple(v) for k, v in default_blocks.items() if v is not None}
         )

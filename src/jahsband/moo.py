@@ -3,7 +3,7 @@ distance, diversity-aware top-k promotion, and incumbent selection by
 normalized objective area.
 
 All functions minimize both objectives and are pure; ties are always broken
-deterministically, ending at input index.
+deterministically, ending at input index. They compute on Python floats.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class EmptyInputError(ValueError):
@@ -38,13 +36,14 @@ class CostVector:
         return (self.primary, self.runtime_hours)
 
 
-def _as_array(points: list[CostVector]) -> np.ndarray:
+def _costs(points: list[CostVector]) -> list[tuple[float, float]]:
+    """The points' (primary, runtime) pairs as floats, once both are checked."""
     if len(points) == 0:
         raise EmptyInputError("need at least one cost vector")
-    arr = np.asarray([p.as_tuple() for p in points], dtype=float)
-    if not np.all(np.isfinite(arr)):
+    costs = [(float(p.primary), float(p.runtime_hours)) for p in points]
+    if not all(math.isfinite(v) for cost in costs for v in cost):
         raise NonFiniteCostError("cost vectors must be finite")
-    return arr
+    return costs
 
 
 def non_dominated_sort(points: list[CostVector]) -> list[list[int]]:
@@ -62,11 +61,7 @@ def non_dominated_sort(points: list[CostVector]) -> list[list[int]]:
     point's front. Exactly equal points never dominate each other and share
     a front. O(n log n) time, O(n) memory.
     """
-    if len(points) == 0:
-        raise EmptyInputError("need at least one cost vector")
-    keys = [p.as_tuple() for p in points]
-    if not all(math.isfinite(v) for key in keys for v in key):
-        raise NonFiniteCostError("cost vectors must be finite")
+    keys = _costs(points)
     front_of = [0] * len(keys)
     front_min: list[float] = []  # lowest runtime in each front
     previous = None
@@ -94,21 +89,20 @@ def crowding_distance(front: list[CostVector]) -> list[float]:
     neighbor spread divided by the objective's range. Objectives with zero
     range contribute nothing. Fronts of size <= 2 are all-boundary.
     """
-    arr = _as_array(front)
-    n = len(arr)
+    costs = _costs(front)
+    n = len(costs)
     if n <= 2:
         return [math.inf] * n
-    dist = np.zeros(n)
-    for m in range(arr.shape[1]):
-        order = np.argsort(arr[:, m], kind="stable")
-        lo, hi = arr[order[0], m], arr[order[-1], m]
+    dist = [0.0] * n
+    for column in zip(*costs):
+        order = sorted(range(n), key=column.__getitem__)
+        lo, hi = column[order[0]], column[order[-1]]
         if hi == lo:
             continue
-        dist[order[0]] = math.inf
-        dist[order[-1]] = math.inf
-        interior = order[1:-1]
-        dist[interior] += (arr[order[2:], m] - arr[order[:-2], m]) / (hi - lo)
-    return [float(d) for d in dist]
+        dist[order[0]] = dist[order[-1]] = math.inf
+        for before, i, after in zip(order, order[1:], order[2:]):
+            dist[i] += (column[after] - column[before]) / (hi - lo)
+    return dist
 
 
 def select_top_k(points: list[CostVector], k: int) -> list[int]:
@@ -139,12 +133,10 @@ def area_incumbent(front: list[CostVector]) -> int:
     A zero-range objective normalizes to 0 for every point, so the other
     objective decides. Ties break by lower primary cost, then input index.
     """
-    arr = _as_array(front)
-    norm = np.zeros_like(arr)
-    for m in range(arr.shape[1]):
-        lo, hi = arr[:, m].min(), arr[:, m].max()
-        if hi > lo:
-            norm[:, m] = (arr[:, m] - lo) / (hi - lo)
-    scores = (1.0 - norm[:, 0]) * (1.0 - norm[:, 1])
-    best = min(range(len(front)), key=lambda i: (-scores[i], arr[i, 0], i))
-    return best
+    costs = _costs(front)
+    norm = []
+    for column in zip(*costs):
+        lo, hi = min(column), max(column)
+        norm.append([(v - lo) / (hi - lo) for v in column] if hi > lo else [0.0] * len(column))
+    scores = [(1.0 - p) * (1.0 - r) for p, r in zip(*norm)]
+    return min(range(len(costs)), key=lambda i: (-scores[i], costs[i][0], i))

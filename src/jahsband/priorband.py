@@ -69,6 +69,7 @@ class RunHistory:
         self.ladder = ladder
         self.run_seed = run_seed
         self.trials: list[Trial] = []
+        self.charged: list[int] = []  # epochs charged up to and including each trial
         self._configs: dict[int, Configuration] = {}
         # per config_id, its completed trial at the highest budget
         self._best: dict[int, Trial] = {}
@@ -81,6 +82,7 @@ class RunHistory:
 
     def add(self, trial: Trial) -> None:
         self.trials.append(trial)
+        self.charged.append(trial.charged_epochs + (self.charged[-1] if self.charged else 0))
         self._configs[trial.config_id] = trial.configuration
         if trial.cost is None:
             return
@@ -305,8 +307,8 @@ def run(
             weights = sampler_weights(r, ladder.eta, history)
             weight_traces.append((bracket.s, weights))
 
-            # the history is constant while a bracket samples, so its
-            # center is computed once, on the first incumbent draw
+            # the bracket's history is constant, so one center (sampler_weights'
+            # own) serves every draw; the history's kept front makes it cheap to find
             center: Configuration | None = None
             strategy_cdf = cs.choice_cdf(weights.as_array())
             members: list[tuple[int, Configuration, str]] = []
@@ -383,9 +385,7 @@ def write_history_csv(history: RunHistory, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HISTORY_COLUMNS)
-        charged = 0
-        for t in history.trials:
-            charged += t.charged_epochs
+        for t, charged in zip(history.trials, history.charged):
             writer.writerow(
                 [
                     history.run_seed,
@@ -416,7 +416,6 @@ def read_history_csv(
     or its step up from the rung below), raises
     :class:`~jahsband.harness.MalformedRowError` naming the line."""
     history: RunHistory | None = None
-    prev_charged = 0
     # one (immutable) Configuration per configuration, one derivation per architecture
     configs: dict[tuple[str, str], Configuration] = {}
     derivations: dict[str, Derivation] = {}
@@ -465,7 +464,7 @@ def read_history_csv(
                 first = ladder.s_max - max(bracket, 0)
                 if not (-1 <= bracket <= ladder.s_max and first <= rung):
                     raise ValueError(f"rung {rung} is not in bracket {bracket}")
-                delta = int(charged) - prev_charged
+                delta = int(charged) - (history.charged[-1] if history.charged else 0)
                 if not (delta == budget or first < rung
                         and budget - delta == ladder.rung_budgets[rung - 1]):
                     raise ValueError(f"charged {delta} epochs at budget {budget}")
@@ -480,7 +479,6 @@ def read_history_csv(
                 config_id = int(config_id)
             except ValueError as exc:
                 raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
-            prev_charged += delta
             history.add(
                 Trial(
                     config_id=config_id,

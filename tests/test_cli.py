@@ -628,6 +628,8 @@ INPUT_ERRORS = {
     "unknown grammar confidence": _grammar_section(confidence="extreme"),
     "grammar confidence not a string": _grammar_section(confidence=["low"]),
     "parameter confidence not a string": _extra_parameter(confidence=["low"]),
+    "parameter name not a string": _extra_parameter(name=["a"]),
+    "unknown block profile key": _grammar_section(default_blocks={"cnov": [9, 9, 9, 9]}),
     "grammar not an object": _space_case(lambda doc: {**doc, "grammar": [4]}),
     "parameter not an object":
         _space_case(lambda doc: {**doc, "parameters": doc["parameters"] + [5]}),

@@ -366,11 +366,16 @@ def test_default_configuration_is_one_object_per_space():
     ("S", 0, ()),
     ("S", 0, ("U-Net", "(", "abc", ",", "xyz", ")")),
     ("S", 0, ("U-Net", "(", ("4E", 0, ()), ",", ("4D", 0, ()), ")")),
+    # U-Nets of other grammars: six stages, and a first block count over the cap of 4
+    hg.sample_derivation(hg.build_grammar(6, 2), "uniform", 3),
+    hg.parse(hg.build_grammar(4, 3), "U-Net(ConvEncoder(InstanceNorm LeakyReLU NoDropout, "
+             "6b, down, 2b, down, 2b, down, 2b), ConvDecoder(InstanceNorm LeakyReLU "
+             "NoDropout, up, 2b, up, 2b, up, 2b))"),
 ])
 def test_non_unet_derivation_is_a_grammar_error(derivation):
     """Encoding, sampling around and evaluating a configuration whose
-    derivation is not shaped like a U-Net raise GrammarError, not the
-    unpacking error underneath."""
+    derivation is not shaped like a U-Net, or is one of another grammar,
+    raise GrammarError, not the unpacking error underneath."""
     space = cs.load_space(SPACE_FILE)
     config = cs.Configuration(dict(space.default_configuration().assignments), derivation)
     problem = SyntheticProblem.from_space(space, b_max=243)

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moo_oracle
+from jahsband import moo
 from jahsband.moo import (
     CostVector,
     EmptyInputError,
@@ -197,3 +200,50 @@ class TestAreaIncumbent:
             a2, b2 = rng.uniform(0.1, 5), rng.uniform(-3, 3)
             scaled2 = cv(*((a2 * p + b2, r) for p, r in zip(primary, runtime)))
             assert area_incumbent(scaled2) == idx
+
+
+#: a tie grid with both zeros, and finite floats wide enough that hi - lo
+#: and a neighbour spread overflow to inf
+GRID = st.sampled_from((-0.0, 0.0, 0.25, 1.0, -3.0))
+WIDE = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
+FRONTS = st.one_of(
+    st.lists(st.tuples(GRID, GRID), min_size=1, max_size=25),
+    st.lists(st.tuples(WIDE, WIDE), min_size=1, max_size=25),
+    st.lists(st.tuples(st.one_of(GRID, WIDE), st.one_of(GRID, WIDE)),
+             min_size=1, max_size=25),
+)
+
+
+def _hex(values):
+    """Exact text of each float, so NaN, ±inf and -0.0 compare too."""
+    return [float(v).hex() for v in values]
+
+
+class TestMatchesArrayOracle:
+    """The plain-float functions against their frozen numpy versions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(FRONTS)
+    def test_bit_for_bit(self, pairs):
+        pts = cv(*pairs)
+        with np.errstate(all="ignore"):
+            want_dist = moo_oracle.crowding_distance(pts)
+            want_best = moo_oracle.area_incumbent(pts)
+            with mock.patch.object(moo, "crowding_distance", moo_oracle.crowding_distance):
+                want_top = [select_top_k(pts, k) for k in range(1, len(pts) + 1)]
+        assert _hex(crowding_distance(pts)) == _hex(want_dist)
+        assert area_incumbent(pts) == want_best
+        assert [select_top_k(pts, k) for k in range(1, len(pts) + 1)] == want_top
+
+    @settings(max_examples=100, deadline=None)
+    @given(FRONTS, st.sampled_from((math.nan, math.inf, -math.inf)), st.data())
+    def test_same_errors(self, pairs, bad, data):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = data.draw(st.sampled_from(((bad, pairs[i][1]), (pairs[i][0], bad))))
+        for points, error in (([], EmptyInputError), (cv(*pairs), NonFiniteCostError)):
+            for fn in (crowding_distance, area_incumbent, non_dominated_sort,
+                       moo_oracle.crowding_distance, moo_oracle.area_incumbent):
+                with pytest.raises(error):
+                    fn(points)
+        with pytest.raises(NonFiniteCostError):
+            select_top_k(cv(*pairs), 1)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import jahsband as jb
 from jahsband import configspace as cs
 from jahsband import grammar as hg
 from jahsband import priorband
-from jahsband.analysis import _history_matrix, export_reports
+from jahsband.analysis import _history_matrix, export_reports, write_incumbent_trajectory
 from jahsband.harness import EvaluationFailed, SyntheticProblem
 from jahsband.moo import CostVector
 from jahsband.priorband import (
@@ -48,6 +49,12 @@ def small_setup(d=3, optimum=0.3, b_max=27, default=0.5, size=()):
         size_parameters=size,
     )
     return space, problem, budget_ladder(1, b_max, 3)
+
+
+def _column(path, name):
+    """The integers in one column of a CSV file."""
+    with open(path, newline="") as fh:
+        return [int(row[name]) for row in csv.DictReader(fh)]
 
 
 class FailAbove:
@@ -590,21 +597,31 @@ print(json.dumps(seen))
 
     def test_history_csv_roundtrip(self, tmp_path):
         space, problem, ladder = small_setup()
-        result = jb.run(space, problem, ladder, seed=4)
-        path = tmp_path / "history.csv"
-        write_history_csv(result.history, path)
-        loaded = read_history_csv(path, space, ladder)
-        assert len(loaded.trials) == len(result.history.trials)
-        for a, b in zip(result.history.trials, loaded.trials):
-            assert (a.config_id, a.bracket, a.rung, a.budget, a.strategy,
-                    a.cost, a.previous_budget, a.status,
-                    a.configuration) == (
-                b.config_id, b.bracket, b.rung, b.budget, b.strategy,
-                b.cost, b.previous_budget, b.status, b.configuration)
-        # re-export is byte-identical
-        path2 = tmp_path / "again.csv"
-        write_history_csv(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
+        for continuation in (True, False):
+            result = jb.run(space, problem, ladder, continuation=continuation, seed=4)
+            path = tmp_path / "history.csv"
+            write_history_csv(result.history, path)
+            loaded = read_history_csv(path, space, ladder)
+            assert len(loaded.trials) == len(result.history.trials)
+            for a, b in zip(result.history.trials, loaded.trials):
+                assert (a.config_id, a.bracket, a.rung, a.budget, a.strategy,
+                        a.cost, a.previous_budget, a.status,
+                        a.configuration) == (
+                    b.config_id, b.bracket, b.rung, b.budget, b.strategy,
+                    b.cost, b.previous_budget, b.status, b.configuration)
+            # re-export is byte-identical
+            path2 = tmp_path / "again.csv"
+            write_history_csv(loaded, path2)
+            assert path.read_bytes() == path2.read_bytes()
+            # both writers print the history's running charge, which the
+            # reader rebuilds
+            for history in (result.history, loaded):
+                trajectory = tmp_path / "incumbent_trajectory.csv"
+                write_incumbent_trajectory(history, trajectory)
+                assert history.charged == list(
+                    accumulate(t.charged_epochs for t in history.trials))
+                assert history.charged == _column(path, "charged_epochs_cumulative")
+                assert history.charged == _column(trajectory, "charged_epochs")
 
     def test_history_reload_parses_each_architecture_once(
         self, tmp_path, monkeypatch
