@@ -637,8 +637,8 @@ def write_crosseval_csv(matrix: CrossEvalMatrix, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["problem"] + list(matrix.incumbent_labels))
         for i, label in enumerate(matrix.problem_labels):
-            writer.writerow([label] + [repr(v) for v in matrix.cells[i]])
-        writer.writerow(["mean"] + [repr(v) for v in matrix.column_means])
+            writer.writerow([label] + [repr(v) for v in matrix.cells[i].tolist()])
+        writer.writerow(["mean"] + [repr(v) for v in matrix.column_means.tolist()])
 
 
 # report export

@@ -86,6 +86,12 @@ _RUN_DEFAULTS = {
 }
 
 
+#: each setting's type: its default's, or str (a path or a command) for None
+_RUN_TYPES = {k: str if v is None else type(v) for k, v in _RUN_DEFAULTS.items()}
+
+#: settings with a flag of their own name; --seed, --restart, --importance set the rest
+_FLAG_KEYS = [k for k in _RUN_DEFAULTS if k not in ("seeds", "continuation", "importance")]
+
 _SEED_SPEC = re.compile(r"(\d+)(?:\s*\.\.\s*(\d+))?")
 
 
@@ -100,20 +106,49 @@ def _parse_seed_spec(spec: str) -> list[int]:
     return seeds
 
 
+def _read_manifest(path: Path) -> dict:
+    if not path.exists():
+        raise ManifestError(f"manifest file not found: {path}")
+    manifest = cs._read_json(path, ManifestError)
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path} is not a JSON object")
+    return manifest
+
+
+def _check_settings(settings: dict) -> dict:
+    """Return ``settings`` (from ``--manifest`` and the flags, or from a run's
+    ``manifest.resolved.json``) once its keys, types and values are valid."""
+    wrong = {k for k in settings if not k.startswith("resolved_")} ^ _RUN_DEFAULTS.keys()
+    if wrong:
+        raise ManifestError(f"unknown or missing manifest keys: {sorted(wrong)}")
+    for key, default in _RUN_DEFAULTS.items():
+        value, want = settings[key], _RUN_TYPES[key]
+        # None only where it is the default; bool is not an int, an int is a float
+        if value is None is default:
+            continue
+        if type(value) is not want and (want, type(value)) != (float, int):
+            raise ManifestError(f"{key} must be of type {want.__name__}, got {value!r}")
+        # NaN fails both comparisons, and a manifest holding it is not JSON
+        if want is float and not -math.inf < value < math.inf:
+            raise ManifestError(f"{key} must be finite, got {value!r}")
+    if not settings["seeds"]:
+        raise ManifestError("at least one seed required")
+    all_seeds = [*settings["seeds"], settings["problem_seed"]]
+    if not all(type(s) is int and s >= 0 for s in all_seeds):
+        raise ManifestError(f"seeds must be integers >= 0, got {all_seeds}")
+    if settings["workers"] < 1:
+        raise ManifestError(f"workers must be >= 1, got {settings['workers']}")
+    for key, choices in _RUN_CHOICES.items():
+        if settings[key] not in choices:
+            raise ManifestError(f"{key} must be one of {choices}, got {settings[key]!r}")
+    return settings
+
+
 def _resolve_manifest(args: argparse.Namespace) -> dict:
     resolved = dict(_RUN_DEFAULTS)
     if args.manifest:
-        path = Path(args.manifest)
-        if not path.exists():
-            raise ManifestError(f"manifest file not found: {path}")
-        loaded = cs._read_json(path, ManifestError)
-        unknown = set(loaded) - set(_RUN_DEFAULTS)
-        if unknown:
-            raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-        resolved.update(loaded)
-    # --seed, --restart and --importance are handled below; every other
-    # key is the dest of a flag that defaults to None
-    for key in _RUN_DEFAULTS.keys() - {"seeds", "continuation", "importance"}:
+        resolved.update(_read_manifest(Path(args.manifest)))
+    for key in _FLAG_KEYS:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
@@ -129,30 +164,11 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
     if resolved["out"] is None:
         resolved["out"] = os.environ.get(OUTPUT_ROOT_ENV)
 
-    # each value has its default's type; bool is not an int, an int is a float
-    for key, default in _RUN_DEFAULTS.items():
-        want, got = type(default), type(resolved[key])
-        if default is not None and got is not want and (want, got) != (float, int):
-            raise ManifestError(
-                f"{key} must be of type {want.__name__}, got {resolved[key]!r}"
-            )
-        # NaN fails both comparisons, and a manifest holding it is not JSON
-        if want is float and not -math.inf < resolved[key] < math.inf:
-            raise ManifestError(f"{key} must be finite, got {resolved[key]!r}")
+    _check_settings(resolved)
     if not resolved["space"]:
         raise ManifestError("no search space given (--space or manifest)")
     if not Path(resolved["space"]).exists():
         raise ManifestError(f"space file not found: {resolved['space']}")
-    if not resolved["seeds"]:
-        raise ManifestError("at least one seed required")
-    all_seeds = [*resolved["seeds"], resolved["problem_seed"]]
-    if not all(type(s) is int and s >= 0 for s in all_seeds):
-        raise ManifestError(f"seeds must be integers >= 0, got {all_seeds}")
-    if resolved["workers"] < 1:
-        raise ManifestError(f"workers must be >= 1, got {resolved['workers']}")
-    for key, choices in _RUN_CHOICES.items():
-        if resolved[key] not in choices:
-            raise ManifestError(f"{key} must be one of {choices}, got {resolved[key]!r}")
     if resolved["out"] is None:
         raise ManifestError(
             f"no output directory (--out, manifest, or ${OUTPUT_ROOT_ENV})"
@@ -200,7 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         # written before the first seed, so every finished seed can be
         # reported on even if a later one fails
-        record = dict(manifest)
+        record = {key: manifest[key] for key in _RUN_DEFAULTS}
         record["resolved_space"] = cs.space_to_dict(space)
         if manifest["problem"] == "synthetic":
             record["resolved_problem"] = problem.to_dict()
@@ -265,9 +281,9 @@ def cmd_grammar(args: argparse.Namespace) -> int:
 
 def _load_run(run_dir: Path, seed_dir: str):
     manifest_path = run_dir / "manifest.resolved.json"
-    if not manifest_path.exists():
-        raise ManifestError(f"no manifest.resolved.json under {run_dir}")
-    manifest = cs._read_json(manifest_path, ManifestError)
+    manifest = _check_settings(_read_manifest(manifest_path))
+    if "resolved_space" not in manifest:
+        raise ManifestError(f"{manifest_path} has no resolved_space")
     space = cs.load_space(manifest["resolved_space"])
     ladder = budget_ladder(
         manifest["min_budget"], manifest["max_budget"], manifest["eta"]
@@ -300,13 +316,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         if reference_space is None:
             reference_space = space
             b_max = ladder.b_max
-        elif space.names != reference_space.names or cs.space_to_dict(
-            space
-        ) != cs.space_to_dict(reference_space):
+        elif cs.space_to_dict(space) != cs.space_to_dict(reference_space):
             raise analysis.SpaceMismatchError(
                 f"{run_dir} uses a different search space"
             )
-        if manifest.get("problem") != "synthetic" or "resolved_problem" not in manifest:
+        if manifest["problem"] != "synthetic" or "resolved_problem" not in manifest:
             raise ManifestError(
                 f"{run_dir}: cross-evaluation needs synthetic runs"
             )
@@ -334,31 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an optimization run")
     p_run.add_argument("--manifest", help="JSON manifest; flags override it")
-    p_run.add_argument("--space", help="search space JSON file")
-    p_run.add_argument("--problem", choices=_RUN_CHOICES["problem"])
-    p_run.add_argument("--replay-file")
-    p_run.add_argument("--external-cmd")
-    p_run.add_argument("--external-timeout", type=float)
-    p_run.add_argument("--mode", choices=_RUN_CHOICES["mode"])
-    p_run.add_argument("--policy", choices=_RUN_CHOICES["policy"])
-    p_run.add_argument("--eta", type=int)
-    p_run.add_argument("--min-budget", type=int)
-    p_run.add_argument("--max-budget", type=int)
+    helps = {"space": "search space JSON file",
+             "out": f"output root (default ${OUTPUT_ROOT_ENV})"}
+    for key in _FLAG_KEYS:
+        p_run.add_argument("--" + key.replace("_", "-"), type=_RUN_TYPES[key],
+                           choices=_RUN_CHOICES.get(key), help=helps.get(key))
     p_run.add_argument(
         "--seed", action="append",
         help="seed, list (0,1,2), or range (0..19); repeatable",
     )
-    p_run.add_argument("--out", help=f"output root (default ${OUTPUT_ROOT_ENV})")
-    p_run.add_argument("--workers", type=int)
     p_run.add_argument("--restart", action="store_true",
                        help="restart-from-scratch cost accounting")
     p_run.add_argument("--importance", action="store_true",
                        help="also write importance.json per seed")
-    p_run.add_argument("--noise", type=float)
-    p_run.add_argument("--optimum", choices=_RUN_CHOICES["optimum"])
-    p_run.add_argument("--problem-seed", type=int)
-    p_run.add_argument("--curvature", type=float)
-    p_run.add_argument("--hours-per-epoch", type=float)
     p_run.set_defaults(func=cmd_run)
 
     p_grammar = sub.add_parser("grammar", help="U-Net grammar utilities")

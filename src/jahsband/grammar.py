@@ -38,6 +38,8 @@ Derivation = tuple  # (lhs, alt_index, children)
 NORM_OPTIONS = ("InstanceNorm", "BatchNorm")
 NONLIN_OPTIONS = ("LeakyReLU", "ReLU", "ELU", "PReLU", "GELU")
 DROPOUT_OPTIONS = ("Dropout", "NoDropout")
+#: the rules of a U-Net side's norm, nonlinearity and dropout nodes
+_SIDE_RULES = ("E_Norm", "E_Nonlin", "E_Dropout", "D_Norm", "D_Nonlin", "D_Dropout")
 
 
 class GrammarError(ValueError):
@@ -141,16 +143,18 @@ class Grammar:
         range. Both counts are read off the derivation: the stage count is
         the number of encoder block children, and block rule alternative i
         holds i + 1 blocks. Anything not shaped like a U-Net derivation, or
-        with a stage rule, block rule or block count this grammar does not
-        have, raises :class:`GrammarError`."""
+        with a stage rule, block rule, block count, or norm, nonlinearity or
+        dropout node this grammar does not have, raises :class:`GrammarError`."""
         rules = self.block_info
         try:
             _, _, (_, _, encoder, _, decoder, _) = derivation  # U-Net(kE, kD)
             # a side's nodes are its norm, nonlinearity and dropout, then its blocks
-            enc = [c for c in encoder[2] if isinstance(c, tuple)][3:]
-            dec = [c for c in decoder[2] if isinstance(c, tuple)][3:]
+            enc = [c for c in encoder[2] if isinstance(c, tuple)]
+            dec = [c for c in decoder[2] if isinstance(c, tuple)]
             known = encoder[0] in self.productions and decoder[0] in self.productions
-            total = 0
+            for rule, (lhs, ai, token) in zip(_SIDE_RULES, enc[:3] + dec[:3]):
+                known = known and lhs == rule and 0 <= ai and self.productions[rule][ai] == token
+            enc, dec, total = enc[3:], dec[3:], 0
             for lhs, ai, _ in enc + dec:
                 known = known and 0 <= ai < rules[lhs][0]
                 total += ai + 1

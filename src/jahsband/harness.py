@@ -24,7 +24,7 @@ import signal
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
@@ -160,18 +160,16 @@ class SyntheticProblem:
         cls,
         space: SearchSpace,
         optimum: dict[str, float] | str = "random",
+        *,
         weights: dict[str, float] | None = None,
-        b_max: int = 1000,
-        curvature: float = 3.0,
-        hours_per_epoch: float = 0.002,
         size_parameters: tuple[str, ...] | None = None,
-        noise: float = 0.0,
         problem_seed: int = 0,
+        **settings: Any,
     ) -> "SyntheticProblem":
         """Assemble a problem with sensible defaults: unit weights, capacity
         knobs as size parameters, and either a randomly placed optimum
         ("random", drawn from problem_seed) or one at the space defaults
-        ("default")."""
+        ("default"). The other fields come from ``settings`` as given."""
         names = coordinate_names(space)
         if optimum == "random":
             rng = np.random.default_rng(problem_seed)
@@ -187,16 +185,8 @@ class SyntheticProblem:
             )
             if space.grammar is not None:
                 size_parameters += (ARCH_BLOCKS,)
-        return cls(
-            space=space,
-            optimum=dict(optimum),
-            weights=dict(weights),
-            b_max=b_max,
-            curvature=curvature,
-            hours_per_epoch=hours_per_epoch,
-            size_parameters=tuple(size_parameters),
-            noise=noise,
-        )
+        return cls(space=space, optimum=dict(optimum), weights=dict(weights),
+                   size_parameters=tuple(size_parameters), **settings)
 
     @staticmethod
     def _coordinates(space: SearchSpace) -> dict[str, tuple[int, int]]:
@@ -265,28 +255,27 @@ class SyntheticProblem:
         return replace(self, noise=0.0)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "optimum": self.optimum,
-            "weights": self.weights,
-            "b_max": self.b_max,
-            "curvature": self.curvature,
-            "hours_per_epoch": self.hours_per_epoch,
-            "size_parameters": list(self.size_parameters),
-            "noise": self.noise,
-        }
+        """Every field but the space, each value of the type it was given."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "space"}
 
     @classmethod
     def from_dict(cls, space: SearchSpace, obj: dict[str, Any]) -> "SyntheticProblem":
-        return cls(
-            space=space,
-            optimum=dict(obj["optimum"]),
-            weights=dict(obj["weights"]),
-            b_max=int(obj["b_max"]),
-            curvature=float(obj["curvature"]),
-            hours_per_epoch=float(obj["hours_per_epoch"]),
-            size_parameters=tuple(obj["size_parameters"]),
-            noise=float(obj["noise"]),
-        )
+        """The problem of a :meth:`to_dict` record, with an int ``b_max`` and
+        float numbers; a missing key or bad value raises :class:`InvalidProblemError`."""
+        try:
+            return cls(
+                space=space,
+                optimum=dict(obj["optimum"]),
+                weights=dict(obj["weights"]),
+                b_max=int(obj["b_max"]),
+                curvature=float(obj["curvature"]),
+                hours_per_epoch=float(obj["hours_per_epoch"]),
+                size_parameters=tuple(obj["size_parameters"]),
+                noise=float(obj["noise"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"no key {exc}" if type(exc) is KeyError else exc
+            raise InvalidProblemError(f"problem record: {what}") from None
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,13 @@ def _eval_seed(run_seed: int, config_id: int, rung: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _recorded_cost(primary: float, runtime: float) -> CostVector | None:
+    """A primary in [0, 1] and a runtime in [0, inf) as a cost of Python
+    floats; anything else, NaN included, is a failed trial's None."""
+    in_range = 0.0 <= primary <= 1.0 and 0.0 <= runtime < math.inf
+    return CostVector(float(primary), float(runtime)) if in_range else None
+
+
 def run(
     space: SearchSpace,
     problem,
@@ -274,9 +281,6 @@ def run(
                 )
             except EvaluationFailed:
                 objectives = CostVector(math.nan, math.nan)
-            primary, runtime = objectives.primary, objectives.runtime_hours
-            # NaN fails both comparisons, so a failed evaluation has no cost
-            in_range = 0.0 <= primary <= 1.0 and 0.0 <= runtime < math.inf
             return Trial(
                 config_id=cid,
                 configuration=config,
@@ -284,7 +288,7 @@ def run(
                 rung=rung,
                 budget=budget,
                 strategy=strategy,
-                cost=CostVector(primary, runtime) if in_range else None,
+                cost=_recorded_cost(objectives.primary, objectives.runtime_hours),
                 previous_budget=previous_budget,
             )
 
@@ -409,7 +413,7 @@ def read_history_csv(
 ) -> RunHistory:
     """Inverse of :func:`write_history_csv`. A missing column, or a row that
     no run writes (a row cut short, an architecture the space cannot parse,
-    a status other than ``ok`` with both costs or ``failed`` without them,
+    a status other than ``ok`` with a cost a run records or ``failed`` without one,
     another run seed than the first row's, a rung off ``ladder``, below its
     bracket's first rung or at a budget other than its own, a bracket off
     the plan, a cumulative charge that grows by other than the row's budget
@@ -469,9 +473,9 @@ def read_history_csv(
                         and budget - delta == ladder.rung_budgets[rung - 1]):
                     raise ValueError(f"charged {delta} epochs at budget {budget}")
                 if status == "ok":
-                    cost = CostVector(float(primary), float(runtime))
-                    if not all(map(math.isfinite, cost.as_tuple())):
-                        raise ValueError(f"non-finite cost {cost.as_tuple()}")
+                    cost = _recorded_cost(float(primary), float(runtime))
+                    if cost is None:
+                        raise ValueError(f"cost {primary}, {runtime} is out of range")
                 elif status == "failed" and primary == runtime == "":
                     cost = None
                 else:

@@ -355,6 +355,9 @@ class TestCrossEval:
         assert lines[0] == "problem,i1,i2"
         assert len(lines) == 4
         assert lines[-1].startswith("mean,")
+        # plain floats, not numpy scalar reprs
+        cells = [[float(c) for c in line.split(",")[1:]] for line in lines[1:]]
+        assert cells == [*matrix.cells.tolist(), matrix.column_means.tolist()]
 
 
 class TestExports:

@@ -257,6 +257,65 @@ class TestRun:
             out / "seed_0" / "pareto.json").read_bytes()
 
 
+#: a value other than the default for each run setting
+OTHER_SETTINGS = {
+    "space": str(SPACES_DIR / "hnas_grammar.json"), "problem": "external",
+    "replay_file": "history.csv", "external_cmd": "true", "external_timeout": 5.0,
+    "mode": "priorband", "policy": "as-written", "eta": 2, "min_budget": 9,
+    "max_budget": 81, "seeds": [1, 2], "out": "elsewhere", "workers": 2,
+    "continuation": False, "noise": 0.25, "optimum": "default", "problem_seed": 3,
+    "curvature": 1.5, "hours_per_epoch": 0.5, "importance": True,
+}
+
+
+def _as_flags(settings):
+    """The ``run`` flags that set ``settings``."""
+    flags = []
+    for key, value in settings.items():
+        if key == "seeds":
+            flags += ["--seed", ",".join(map(str, value))]
+        elif key in ("continuation", "importance"):
+            flags.append("--restart" if key == "continuation" else "--importance")
+        else:
+            flags += ["--" + key.replace("_", "-"), str(value)]
+    return flags
+
+
+class SeedStarted(Exception):
+    """Raised in place of the first seed's run."""
+
+
+@pytest.mark.parametrize("key", list(cli._RUN_DEFAULTS))
+def test_flag_and_manifest_key_agree(key, tmp_path, monkeypatch):
+    """A setting given by its flag and by its manifest key resolves to the
+    same manifest.resolved.json."""
+    def first_seed(*args, **kwargs):
+        raise SeedStarted
+
+    # the record is written before the first seed; an external problem is
+    # built as a synthetic one, so no child starts
+    build = cli._build_problem
+    monkeypatch.setattr(cli, "_build_problem",
+                        lambda m, *a: build({**m, "problem": "synthetic"}, *a))
+    monkeypatch.setattr(priorband, "run", first_seed)
+    monkeypatch.chdir(tmp_path)
+    value = OTHER_SETTINGS[key]
+    base = {"space": SPACE, "min_budget": 3, "max_budget": 27, "out": "o",
+            "external_cmd": "true" if key == "problem" else None}
+    records = []
+    for by_flag in (True, False):
+        flags = {k: v for k, v in {**base, key: value}.items()
+                 if v is not None and (by_flag or k != key)}
+        manifest = _write(tmp_path / "m.json", json.dumps({} if by_flag else {key: value}))
+        with pytest.raises(SeedStarted):
+            run_cli("run", *_as_flags(flags), "--manifest", manifest)
+        out = Path(value if key == "out" else "o")
+        records.append((out / "manifest.resolved.json").read_bytes())
+        (out / "manifest.resolved.json").unlink()
+    assert records[0] == records[1]
+    assert json.loads(records[0])[key] == value
+
+
 #: runs ``jahsband.cli.main`` on each JSON-encoded argv of ``sys.argv[1:]``
 #: with scipy refused by a meta path finder, then prints the scipy modules
 #: that got loaded anyway
@@ -557,6 +616,32 @@ def _grammar_section(**fields):
         k: v for k, v in {**doc["grammar"], **fields}.items() if v is not None}})
 
 
+def _manifest_setting(key, value):
+    """An INPUT_ERRORS case: a small run whose manifest, not its flags, sets
+    ``key`` to ``value``."""
+    def case(tmp, run):
+        args = small_run_args(tmp / "o")
+        if "--" + key in args:
+            at = args.index("--" + key)
+            del args[at:at + 2]
+        return args + ["--manifest", _write(tmp / "m.json", json.dumps({key: value}))]
+    return case
+
+
+def _run_record(edit, action="pareto"):
+    """An INPUT_ERRORS case: ``report <action>`` on the finished run, whose
+    manifest.resolved.json ``edit`` turns into the document it reads."""
+    def case(tmp, run):
+        path = run / "manifest.resolved.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return ["report", action, "--run" if action == "pareto" else "--runs", str(run)]
+    return case
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
 #: command lines (built from a scratch directory and a finished run) that
 #: exited 2 only through a bare ValueError catch before it was narrowed
 INPUT_ERRORS = {
@@ -640,6 +725,32 @@ INPUT_ERRORS = {
     "replay table of another ladder": lambda tmp, run: small_run_args(tmp / "o") + [
         "--min-budget", "1", "--problem", "replay",
         "--replay-file", str(run / "seed_0" / "history.csv")],
+    # each once a TypeError or a KeyError, or (a path no problem reads) a run
+    "manifest space not a string": _manifest_setting("space", 5),
+    "manifest out not a string": _manifest_setting("out", 5),
+    "manifest replay file not a string": _manifest_setting("replay_file", 5),
+    "manifest external command not a string": _manifest_setting("external_cmd", 5),
+    "manifest not an object": lambda tmp, run: small_run_args(tmp / "o")
+        + ["--manifest", _write(tmp / "m.json", "5")],
+    "empty run manifest": _run_record(lambda doc: {}),
+    "run manifest without eta": _run_record(_without("eta")),
+    "run manifest without resolved_space": _run_record(_without("resolved_space")),
+    "string min_budget in run manifest": _run_record(lambda doc: {**doc, "min_budget": "1"}),
+    "problem record without noise": _run_record(lambda doc: {
+        **doc, "resolved_problem": _without("noise")(doc["resolved_problem"])}, "crosseval"),
+}
+
+#: what the message of an INPUT_ERRORS case says of the key it names
+NAMED_KEYS = {
+    "manifest space not a string": "space must be",
+    "manifest out not a string": "out must be",
+    "manifest replay file not a string": "replay_file must be",
+    "manifest external command not a string": "external_cmd must be",
+    "empty run manifest": "'eta'",
+    "run manifest without eta": "'eta'",
+    "run manifest without resolved_space": "resolved_space",
+    "string min_budget in run manifest": "min_budget must be",
+    "problem record without noise": "'noise'",
 }
 
 #: manifest values of the wrong type, each once an exit 1 or a silent run
@@ -669,7 +780,8 @@ class TestErrorExits:
             (run / name).parent.mkdir(exist_ok=True)
             (run / name).write_bytes((finished_run / name).read_bytes())
         assert run_cli(*INPUT_ERRORS[case](tmp_path, run)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and NAMED_KEYS.get(case, "") in err
         assert not (tmp_path / "o").exists()
 
     @staticmethod

@@ -362,6 +362,16 @@ def test_default_configuration_is_one_object_per_space():
     assert twin.default_configuration() == space.default_configuration()
 
 
+def _with_encoder_norm(node):
+    """The shipped space's default derivation with ``node`` for its encoder
+    norm node."""
+    s, ai, (unet, paren, (lhs, e_ai, children), *rest) = hg.default_derivation(
+        cs.load_space(SPACE_FILE).grammar)
+    children = tuple(node if isinstance(c, tuple) and c[0] == "E_Norm" else c
+                     for c in children)
+    return (s, ai, (unet, paren, (lhs, e_ai, children), *rest))
+
+
 @pytest.mark.parametrize("derivation", [
     ("S", 0, ()),
     ("S", 0, ("U-Net", "(", "abc", ",", "xyz", ")")),
@@ -371,6 +381,11 @@ def test_default_configuration_is_one_object_per_space():
     hg.parse(hg.build_grammar(4, 3), "U-Net(ConvEncoder(InstanceNorm LeakyReLU NoDropout, "
              "6b, down, 2b, down, 2b, down, 2b), ConvDecoder(InstanceNorm LeakyReLU "
              "NoDropout, up, 2b, up, 2b, up, 2b))"),
+    # an encoder norm that no alternative, or not this one, derives
+    _with_encoder_norm(("E_Norm", 9, ("GroupNorm",))),
+    _with_encoder_norm(("E_Norm", -1, ("BatchNorm",))),
+    _with_encoder_norm(("E_Norm", 0, ("BatchNorm",))),
+    _with_encoder_norm(("D_Norm", 0, ("InstanceNorm",))),
 ])
 def test_non_unet_derivation_is_a_grammar_error(derivation):
     """Encoding, sampling around and evaluating a configuration whose

@@ -411,6 +411,8 @@ class TestReplay:
         ("bracket", "-2"),
         ("bracket", "1"),  # starts at rung 2
         ("bracket", "-1"),  # the default's row is at the top rung
+        ("primary_cost", "1.5"),  # run() records it as a failed trial
+        ("runtime_hours", "-2.0"),
     ])
     def test_row_no_run_writes(self, tmp_path, column, value):
         space = float_space(1)

@@ -623,6 +623,24 @@ print(json.dumps(seen))
                 assert history.charged == _column(path, "charged_epochs_cumulative")
                 assert history.charged == _column(trajectory, "charged_epochs")
 
+    def test_numpy_float_costs_roundtrip(self, tmp_path):
+        """A problem whose costs are numpy floats records Python floats: the
+        same bytes as the problem that returns them, which read back."""
+        space, problem, ladder = small_setup()
+
+        class NumpyCosts:
+            def evaluate(self, *args, **kwargs):
+                cost = problem.evaluate(*args, **kwargs)
+                return CostVector(*map(np.float64, cost.as_tuple()))
+
+        for name, p in (("plain", problem), ("numpy", NumpyCosts())):
+            export_reports(jb.run(space, p, ladder, seed=4), tmp_path / name)
+        for name in ("history.csv", "incumbent_trajectory.csv", "pareto.json"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
+        loaded = read_history_csv(tmp_path / "numpy" / "history.csv", space, ladder)
+        assert {type(v) for t in loaded.trials for v in t.cost.as_tuple()} == {float}
+
     def test_history_reload_parses_each_architecture_once(
         self, tmp_path, monkeypatch
     ):
