@@ -51,7 +51,7 @@ for k, corner in enumerate((0.15, 0.5, 0.85)):
     incumbents.append(r.final_incumbent)
 
 matrix = cross_eval(
-    problems, incumbents, b_max=81,
+    problems, incumbents,
     problem_labels=["low", "mid", "high"],
     incumbent_labels=["low", "mid", "high"],
 )

@@ -602,12 +602,11 @@ class CrossEvalMatrix:
 def cross_eval(
     problems: list,
     incumbents: list[Configuration],
-    b_max: int,
     problem_labels: list[str] | None = None,
     incumbent_labels: list[str] | None = None,
 ) -> CrossEvalMatrix:
-    """Evaluate every incumbent on every problem at the top budget,
-    noise-free. All problems must share one search space."""
+    """Evaluate every incumbent on every problem at that problem's top
+    budget, its ``b_max``, noise-free. All problems must share one space."""
     if not problems or not incumbents:
         raise ValueError("need at least one problem and one incumbent")
     reference = problems[0].space
@@ -623,7 +622,7 @@ def cross_eval(
     for i, problem in enumerate(problems):
         noise_free = problem.without_noise() if hasattr(problem, "without_noise") else problem
         for j, incumbent in enumerate(incumbents):
-            cells[i, j] = noise_free.evaluate(incumbent, b_max).primary
+            cells[i, j] = noise_free.evaluate(incumbent, problem.b_max).primary
     return CrossEvalMatrix(
         tuple(problem_labels or [f"problem_{i}" for i in range(len(problems))]),
         tuple(incumbent_labels or [f"incumbent_{j}" for j in range(len(incumbents))]),
@@ -643,6 +642,13 @@ def write_crosseval_csv(matrix: CrossEvalMatrix, path: str | Path) -> None:
 
 # report export
 
+def write_json(obj: object, path: str | Path) -> None:
+    """``obj`` as a run's JSON files are written: sorted keys, indent 2, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def write_pareto_json(result: RunResult, path: str | Path) -> None:
     points = [
         {
@@ -653,9 +659,7 @@ def write_pareto_json(result: RunResult, path: str | Path) -> None:
         }
         for config, cost in result.pareto_front
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"points": points}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json({"points": points}, path)
 
 
 def write_incumbent_trajectory(history: RunHistory, path: str | Path) -> None:
@@ -672,9 +676,7 @@ def write_incumbent_trajectory(history: RunHistory, path: str | Path) -> None:
 
 
 def write_importance_json(report: ImportanceReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def export_reports(

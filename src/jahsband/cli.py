@@ -222,9 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             record["resolved_problem"] = problem.to_dict()
         out_root = Path(manifest["out"])
         out_root.mkdir(parents=True, exist_ok=True)
-        with open(out_root / "manifest.resolved.json", "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        analysis.write_json(record, out_root / "manifest.resolved.json")
         for seed in manifest["seeds"]:
             result = priorband.run(
                 space,
@@ -310,12 +308,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     # crosseval
     problems, incumbents, labels = [], [], []
     reference_space = None
-    b_max = None
     for run_dir in args.runs:
-        manifest, space, ladder, history = _load_run(Path(run_dir), args.seed_dir)
+        manifest, space, _, history = _load_run(Path(run_dir), args.seed_dir)
         if reference_space is None:
             reference_space = space
-            b_max = ladder.b_max
         elif cs.space_to_dict(space) != cs.space_to_dict(reference_space):
             raise analysis.SpaceMismatchError(
                 f"{run_dir} uses a different search space"
@@ -330,7 +326,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         incumbents.append(priorband.final_incumbent(history))
         labels.append(Path(run_dir).name)
     matrix = analysis.cross_eval(
-        problems, incumbents, b_max, problem_labels=labels, incumbent_labels=labels
+        problems, incumbents, problem_labels=labels, incumbent_labels=labels
     )
     out = Path(args.out) if args.out else Path(args.runs[0]) / "crosseval.csv"
     analysis.write_crosseval_csv(matrix, out)

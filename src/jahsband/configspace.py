@@ -158,7 +158,7 @@ class ParameterSpec:
         return len(self.values)
 
     def to_unit(self, value: Any) -> float:
-        """Map a domain value to its normalized coordinate.
+        """Map a domain value to its normalized coordinate; others raise OutOfDomainError.
 
         Float/integer map affinely onto [0, 1]; log-float maps through log
         first; ordinal maps to index/(K-1). Categorical maps to the raw
@@ -166,10 +166,6 @@ class ParameterSpec:
         """
         if not self.contains(value):
             raise OutOfDomainError(f"{self.name}: {value!r} outside domain")
-        return self._unit(value)
-
-    def _unit(self, value: Any) -> float:
-        """:meth:`to_unit` of a value already known to be in the domain."""
         if self.kind == FLOAT or self.kind == INTEGER:
             return (float(value) - self.lo) / (self.hi - self.lo)
         if self.kind == LOG_FLOAT:
@@ -261,28 +257,18 @@ class SearchSpace:
         try:
             return self._by_name[name]
         except KeyError:
-            raise UnknownParameterError(name) from None
+            raise UnknownParameterError(f"unknown parameter {name!r}") from None
 
     @property
     def names(self) -> list[str]:
         return [s.name for s in self.parameters]
 
     def validate(self, config: Configuration) -> None:
-        """Raise if the configuration does not fit this space."""
-        for name in config.assignments:
-            if name not in self._by_name:
-                raise UnknownParameterError(name)
-        for spec in self.parameters:
-            if spec.name not in config.assignments:
-                raise UnknownParameterError(f"missing value for {spec.name}")
-            if not spec.contains(config.assignments[spec.name]):
-                raise OutOfDomainError(
-                    f"{spec.name}: {config.assignments[spec.name]!r}"
-                )
-        if (config.derivation is not None) != (self.grammar is not None):
-            raise SpaceError(
-                "derivation must be present iff the space has a grammar"
-            )
+        """Raise if the configuration does not fit this space: a name not the
+        space's, a value missing or outside its domain, or a derivation the
+        grammar cannot derive. This is :func:`normalize`'s one pass, so the
+        row it encodes is kept on the configuration."""
+        _row(self, config)
 
     def default_configuration(self) -> Configuration:
         """Every parameter at its default; one object per space, so its
@@ -324,13 +310,22 @@ def normalize(space: SearchSpace, config: Configuration) -> list[float]:
 
 
 def _row(space: SearchSpace, config: Configuration) -> tuple[float, ...]:
-    """The :func:`normalize` row as the tuple kept on the configuration."""
+    """The :func:`normalize` row as the tuple kept on the configuration, and
+    the space's one check: of the names, of each value by its
+    :meth:`ParameterSpec.to_unit` and of the derivation by its encoder."""
     row = config._rows.get(space)
     if row is None:
-        space.validate(config)
-        row = [s._unit(config.assignments[s.name]) for s in space.parameters]
+        values = config.assignments
+        if values.keys() != space._by_name.keys():
+            for name in values:
+                space[name]  # raises UnknownParameterError for a name it lacks
+            missing = next(n for n in space._by_name if n not in values)
+            raise UnknownParameterError(f"missing value for {missing}")
+        row = [s.to_unit(values[s.name]) for s in space.parameters]
         if space.grammar is not None:
             row += space.grammar.unit_features(config.derivation)
+        elif config.derivation is not None:
+            raise SpaceError("a derivation needs a space with a grammar")
         row = config._rows[space] = tuple(row)
     return row
 

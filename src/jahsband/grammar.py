@@ -38,8 +38,6 @@ Derivation = tuple  # (lhs, alt_index, children)
 NORM_OPTIONS = ("InstanceNorm", "BatchNorm")
 NONLIN_OPTIONS = ("LeakyReLU", "ReLU", "ELU", "PReLU", "GELU")
 DROPOUT_OPTIONS = ("Dropout", "NoDropout")
-#: the rules of a U-Net side's norm, nonlinearity and dropout nodes
-_SIDE_RULES = ("E_Norm", "E_Nonlin", "E_Dropout", "D_Norm", "D_Nonlin", "D_Dropout")
 
 
 class GrammarError(ValueError):
@@ -139,35 +137,54 @@ class Grammar:
 
     def unit_features(self, derivation: Derivation) -> tuple[float, float]:
         """Two coordinates in [0, 1] summarizing a U-Net derivation: its stage
-        count and its total block count, each relative to this grammar's
-        range. Both counts are read off the derivation: the stage count is
-        the number of encoder block children, and block rule alternative i
-        holds i + 1 blocks. Anything not shaped like a U-Net derivation, or
-        with a stage rule, block rule, block count, or norm, nonlinearity or
-        dropout node this grammar does not have, raises :class:`GrammarError`."""
-        rules = self.block_info
-        try:
-            _, _, (_, _, encoder, _, decoder, _) = derivation  # U-Net(kE, kD)
-            # a side's nodes are its norm, nonlinearity and dropout, then its blocks
-            enc = [c for c in encoder[2] if isinstance(c, tuple)]
-            dec = [c for c in decoder[2] if isinstance(c, tuple)]
-            known = encoder[0] in self.productions and decoder[0] in self.productions
-            for rule, (lhs, ai, token) in zip(_SIDE_RULES, enc[:3] + dec[:3]):
-                known = known and lhs == rule and 0 <= ai and self.productions[rule][ai] == token
-            enc, dec, total = enc[3:], dec[3:], 0
-            for lhs, ai, _ in enc + dec:
-                known = known and 0 <= ai < rules[lhs][0]
-                total += ai + 1
-        except (TypeError, ValueError, IndexError, KeyError):
-            known = False
-        if not known or len(dec) != len(enc) - 1:
+        count (start rule alternative i has ``n_stages_min + i`` stages) and
+        its block total, each relative to this grammar's range. The one
+        derivation check, :meth:`_block_total`, counts the blocks; a
+        derivation this grammar cannot derive raises :class:`GrammarError`."""
+        total = self._block_total(derivation)
+        if total is None or self.n_stages_max is None:
             raise GrammarError("not a U-Net derivation of this grammar")
         lo, hi = self.n_stages_min, self.n_stages_max
-        stages = (len(enc) - lo) / (hi - lo) if hi > lo else 0.0
+        stages = derivation[1] / (hi - lo) if hi > lo else 0.0
         min_total, max_total = self.total_blocks_range
         blocks = (total - min_total) / (max_total - min_total) \
             if max_total > min_total else 0.0
         return stages, blocks
+
+    def _block_total(self, derivation: Derivation) -> int | None:
+        """The one derivation check: the number of blocks ``derivation``
+        holds (block rule alternative i holds i + 1), or None if this grammar
+        cannot derive it from its start symbol. Each node is a tuple
+        ``(rule, i, children)`` with an int i in the rule's range and a
+        children tuple that is alternative i, a node of the named rule at
+        each nonterminal; the walk keeps its own stack."""
+        expansions, blocks, total = self.expansions, self.block_info, 0
+        stack = [(self.start, derivation)]
+        pop, push = stack.pop, stack.append
+        try:
+            while stack:
+                sym, node = pop()
+                lhs, ai, children = node
+                alts = expansions[sym]
+                if not (lhs == sym and isinstance(node, tuple) and isinstance(ai, int)
+                        and 0 <= ai < len(alts)):
+                    return None
+                alt, slots = alts[ai]
+                if sym in blocks:
+                    total += ai + 1
+                if slots:
+                    # alternative i once each node is put back as its rule
+                    shape = list(children)
+                    for i, s in slots:
+                        push((s, shape[i]))
+                        shape[i] = s
+                    if not (isinstance(children, tuple) and tuple(shape) == alt):
+                        return None
+                elif children != alt:
+                    return None
+        except (TypeError, ValueError, IndexError):  # a node not of three, or too few children
+            return None
+        return total
 
 
 def build_grammar(
@@ -441,23 +458,9 @@ def sample_derivation(
 
 
 def validate_derivation(grammar: Grammar, derivation: Derivation) -> bool:
-    """Structural check that a tree is a derivation of the grammar."""
-    try:
-        lhs, ai, children = derivation
-        alt = grammar.productions[lhs][ai]
-    except (TypeError, ValueError, KeyError, IndexError):
-        return False
-    if len(alt) != len(children):
-        return False
-    for sym, child in zip(alt, children):
-        if grammar.is_nonterminal(sym):
-            if not (isinstance(child, tuple)
-                    and child[0] == sym
-                    and validate_derivation(grammar, child)):
-                return False
-        elif child != sym:
-            return False
-    return True
+    """Whether ``derivation`` is a derivation of ``grammar`` from its start
+    symbol, by :meth:`Grammar._block_total`, the one derivation check."""
+    return grammar._block_total(derivation) is not None
 
 
 # serialization

@@ -413,12 +413,14 @@ def read_history_csv(
 ) -> RunHistory:
     """Inverse of :func:`write_history_csv`. A missing column, or a row that
     no run writes (a row cut short, an architecture the space cannot parse,
-    a status other than ``ok`` with a cost a run records or ``failed`` without one,
+    a ``serialized_config`` outside the space, a status other than ``ok``
+    with a cost a run records or ``failed`` without one,
     another run seed than the first row's, a rung off ``ladder``, below its
     bracket's first rung or at a budget other than its own, a bracket off
     the plan, a cumulative charge that grows by other than the row's budget
     or its step up from the rung below), raises
-    :class:`~jahsband.harness.MalformedRowError` naming the line."""
+    :class:`~jahsband.harness.MalformedRowError` naming the line. Each
+    configuration is checked once, by ``space.validate``, which keeps its row."""
     history: RunHistory | None = None
     # one (immutable) Configuration per configuration, one derivation per architecture
     configs: dict[tuple[str, str], Configuration] = {}
@@ -446,13 +448,11 @@ def read_history_csv(
                     raise ValueError(f"run_seed {run_seed!r}, not {history.run_seed}")
                 config = configs.get((serialized, arch))
                 if config is None:
-                    derivation = None
-                    if arch:
+                    derivation = derivations.get(arch)
+                    if derivation is None and arch:
                         if space.grammar is None:
                             raise ValueError(f"{arch!r} but the space has no grammar")
-                        derivation = derivations.get(arch)
-                        if derivation is None:
-                            derivation = derivations[arch] = parse(space.grammar, arch)
+                        derivation = derivations[arch] = parse(space.grammar, arch)
                     try:
                         assignments = json.loads(serialized)
                     except RecursionError:
@@ -460,6 +460,7 @@ def read_history_csv(
                     if not isinstance(assignments, dict):
                         raise ValueError("serialized_config is not a JSON object")
                     config = configs[serialized, arch] = Configuration(assignments, derivation)
+                    space.validate(config)
                 budget, rung = int(budget), int(rung)
                 if not (0 <= rung <= ladder.s_max and budget == ladder.rung_budgets[rung]):
                     raise ValueError(f"rung {rung} at budget {budget} is not on the ladder")

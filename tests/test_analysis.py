@@ -310,19 +310,19 @@ class TestCrossEval:
 
     def test_one_by_one(self):
         space, problems, incumbents = self.make_problems()
-        matrix = cross_eval(problems[:1], incumbents[:1], 100)
+        matrix = cross_eval(problems[:1], incumbents[:1])
         assert matrix.cells.shape == (1, 1)
         assert matrix.column_means[0] == matrix.cells[0, 0]
 
     def test_diagonal_advantage(self):
         _, problems, incumbents = self.make_problems()
-        matrix = cross_eval(problems, incumbents, 100)
+        matrix = cross_eval(problems, incumbents)
         assert matrix.cells[0, 0] < matrix.cells[0, 1]
         assert matrix.cells[1, 1] < matrix.cells[1, 0]
 
     def test_diagonal_matches_direct_evaluation(self):
         _, problems, incumbents = self.make_problems()
-        matrix = cross_eval(problems, incumbents, 100)
+        matrix = cross_eval(problems, incumbents)
         direct = problems[0].evaluate(incumbents[0], 100).primary
         assert matrix.cells[0, 0] == direct
 
@@ -331,8 +331,8 @@ class TestCrossEval:
         noisy = SyntheticProblem.from_space(
             space, optimum={f"p{i}": 0.1 for i in range(3)}, b_max=100,
             noise=0.5)
-        a = cross_eval([noisy], incumbents[:1], 100)
-        b = cross_eval([noisy], incumbents[:1], 100)
+        a = cross_eval([noisy], incumbents[:1])
+        b = cross_eval([noisy], incumbents[:1])
         assert a.cells[0, 0] == b.cells[0, 0]
         assert a.cells[0, 0] == pytest.approx(0.0)
 
@@ -342,11 +342,11 @@ class TestCrossEval:
         p_other = SyntheticProblem.from_space(other_space, optimum={"p0": 0.5},
                                               b_max=100)
         with pytest.raises(SpaceMismatchError):
-            cross_eval([problems[0], p_other], incumbents, 100)
+            cross_eval([problems[0], p_other], incumbents)
 
     def test_csv_has_mean_row(self, tmp_path):
         _, problems, incumbents = self.make_problems()
-        matrix = cross_eval(problems, incumbents, 100,
+        matrix = cross_eval(problems, incumbents,
                             problem_labels=["p1", "p2"],
                             incumbent_labels=["i1", "i2"])
         path = tmp_path / "crosseval.csv"

@@ -491,6 +491,26 @@ class TestReportCommand:
         assert lines[-1].startswith("mean,")
         assert len(lines[0].split(",")) == 4
 
+    def test_crosseval_scores_each_problem_at_its_top_budget(self, tmp_path):
+        """Runs of different top budgets: each problem is scored at its own,
+        so both orders of --runs exit 0 with the same cells."""
+        runs = {}
+        for name, top in (("a", "27"), ("b", "81")):
+            args = small_run_args(tmp_path / name)
+            args[args.index("--max-budget") + 1] = top
+            assert run_cli(*args) == 0
+            runs[name] = str(tmp_path / name)
+        cells = []
+        for order in ("ab", "ba"):
+            target = tmp_path / f"{order}.csv"
+            assert run_cli("report", "crosseval", "--runs", *(runs[k] for k in order),
+                           "--out", str(target)) == 0
+            with open(target, newline="") as fh:
+                header, *rows, _ = csv.reader(fh)
+            cells.append({(row[0], label): value for row in rows
+                          for label, value in zip(header[1:], row[1:])})
+        assert cells[0] == cells[1] and len(cells[0]) == 4
+
     def test_crosseval_space_mismatch(self, tmp_path, capsys):
         run_a = self.make_run(tmp_path)
         out_b = tmp_path / "other"
@@ -571,14 +591,24 @@ def _deep_manifest_run(tmp, run):
     return str(run)
 
 
-def _deep_config_run(tmp, run):
-    history = run / "seed_0" / "history.csv"
-    with open(history, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[1][rows[0].index("serialized_config")] = DEEP_JSON
-    with open(history, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    return str(run)
+def _history_config(edit):
+    """An INPUT_ERRORS case: ``report pareto`` on the finished run, whose
+    first ``serialized_config`` ``edit`` turns into the text it reads."""
+    def case(tmp, run):
+        history = run / "seed_0" / "history.csv"
+        with open(history, newline="") as fh:
+            rows = list(csv.reader(fh))
+        at = rows[0].index("serialized_config")
+        rows[1][at] = edit(rows[1][at])
+        with open(history, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return ["report", "pareto", "--run", str(run)]
+    return case
+
+
+def _config_edit(edit):
+    """``edit`` of a ``serialized_config``'s parameters, as text."""
+    return lambda text: json.dumps(edit(json.loads(text)), sort_keys=True)
 
 
 def _manifest_run(tmp, payload):
@@ -667,8 +697,7 @@ INPUT_ERRORS = {
         tmp / "o", space=_write(tmp / "s.json", DEEP_JSON)),
     "run manifest nested too deeply":
         lambda tmp, run: ["report", "pareto", "--run", _deep_manifest_run(tmp, run)],
-    "history config nested too deeply":
-        lambda tmp, run: ["report", "pareto", "--run", _deep_config_run(tmp, run)],
+    "history config nested too deeply": _history_config(lambda text: DEEP_JSON),
     "unbalanced external command": lambda tmp, run: small_run_args(tmp / "o")
         + ["--problem", "external", "--external-cmd", "python 'x"],
     "NaN external timeout": lambda tmp, run: small_run_args(tmp / "o")
@@ -738,6 +767,15 @@ INPUT_ERRORS = {
     "string min_budget in run manifest": _run_record(lambda doc: {**doc, "min_budget": "1"}),
     "problem record without noise": _run_record(lambda doc: {
         **doc, "resolved_problem": _without("noise")(doc["resolved_problem"])}, "crosseval"),
+    # each once a report on a configuration outside the space, or an exit 3
+    # when replayed
+    "unknown parameter in history":
+        _history_config(_config_edit(lambda doc: {**doc, "extra": 1})),
+    "missing parameter in history": _history_config(_config_edit(_without("Activation"))),
+    "value outside its domain in history":
+        _history_config(_config_edit(lambda doc: {**doc, "Activation": "bogus"})),
+    "string for a float in history":
+        _history_config(_config_edit(lambda doc: {**doc, "Dropout Rate": "0.1"})),
 }
 
 #: what the message of an INPUT_ERRORS case says of the key it names
@@ -751,6 +789,10 @@ NAMED_KEYS = {
     "run manifest without resolved_space": "resolved_space",
     "string min_budget in run manifest": "min_budget must be",
     "problem record without noise": "'noise'",
+    "unknown parameter in history": "line 2: unknown parameter 'extra'",
+    "missing parameter in history": "line 2: missing value for Activation",
+    "value outside its domain in history": "line 2: Activation: 'bogus' outside domain",
+    "string for a float in history": "line 2: Dropout Rate: '0.1' outside domain",
 }
 
 #: manifest values of the wrong type, each once an exit 1 or a silent run

@@ -362,14 +362,32 @@ def test_default_configuration_is_one_object_per_space():
     assert twin.default_configuration() == space.default_configuration()
 
 
+def _default_with(old, new):
+    """The shipped space's default derivation with its first child equal to
+    ``old`` (a node or a terminal, depth first) replaced by ``new``."""
+    found = []
+
+    def edit(node):
+        lhs, ai, children = node
+        out = []
+        for child in children:
+            if not found and child == old:
+                found.append(child)
+                child = new
+            elif isinstance(child, tuple):
+                child = edit(child)
+            out.append(child)
+        return (lhs, ai, tuple(out))
+
+    derivation = edit(hg.default_derivation(cs.load_space(SPACE_FILE).grammar))
+    assert found, old
+    return derivation
+
+
 def _with_encoder_norm(node):
     """The shipped space's default derivation with ``node`` for its encoder
     norm node."""
-    s, ai, (unet, paren, (lhs, e_ai, children), *rest) = hg.default_derivation(
-        cs.load_space(SPACE_FILE).grammar)
-    children = tuple(node if isinstance(c, tuple) and c[0] == "E_Norm" else c
-                     for c in children)
-    return (s, ai, (unet, paren, (lhs, e_ai, children), *rest))
+    return _default_with(("E_Norm", 0, ("InstanceNorm",)), node)
 
 
 @pytest.mark.parametrize("derivation", [
@@ -386,12 +404,20 @@ def _with_encoder_norm(node):
     _with_encoder_norm(("E_Norm", -1, ("BatchNorm",))),
     _with_encoder_norm(("E_Norm", 0, ("BatchNorm",))),
     _with_encoder_norm(("D_Norm", 0, ("InstanceNorm",))),
+    # a block token, a terminal and an encoder token that the alternative
+    # does not hold, a block index of -1, and a derivation that is not a tuple
+    _default_with(("CEB_1", 1, ("2b",)), ("CEB_1", 1, ("7b",))),
+    _default_with("down", "up"),
+    _default_with("ConvEncoder", "ResEncoder"),
+    _default_with(("CEB_1", 1, ("2b",)), ("CEB_1", -1, ("4b",))),
+    list(hg.default_derivation(cs.load_space(SPACE_FILE).grammar)),
 ])
 def test_non_unet_derivation_is_a_grammar_error(derivation):
     """Encoding, sampling around and evaluating a configuration whose
     derivation is not shaped like a U-Net, or is one of another grammar,
     raise GrammarError, not the unpacking error underneath."""
     space = cs.load_space(SPACE_FILE)
+    assert not hg.validate_derivation(space.grammar, derivation)
     config = cs.Configuration(dict(space.default_configuration().assignments), derivation)
     problem = SyntheticProblem.from_space(space, b_max=243)
     for call in (lambda: cs.normalize(space, config),
@@ -399,6 +425,91 @@ def test_non_unet_derivation_is_a_grammar_error(derivation):
                  lambda: problem.evaluate(config, 1)):
         with pytest.raises(hg.GrammarError, match="not a U-Net derivation"):
             call()
+
+
+def _nodes(derivation, path=()):
+    """(path, node) for each node of a derivation, depth first; a path lists
+    the child positions from the root."""
+    yield path, derivation
+    for i, child in enumerate(derivation[2]):
+        if isinstance(child, tuple):
+            yield from _nodes(child, path + (i,))
+
+
+def _put(derivation, path, node):
+    """``derivation`` with ``node`` at ``path``."""
+    if not path:
+        return node
+    lhs, ai, children = derivation
+    i = path[0]
+    return (lhs, ai, children[:i] + (_put(children[i], path[1:], node),) + children[i + 1:])
+
+
+MUTATIONS = ("index -1", "index True", "index out of range", "terminal swapped",
+             "block token", "children as list", "dropped child", "other rule")
+
+
+def _mutate(grammar, derivation, kind, data):
+    """``derivation`` with one node changed by the mutation ``kind``; ``data``
+    draws the node and the change."""
+    nodes = list(_nodes(derivation))
+    candidates = [(p, n) for p, n in nodes if n[0] in grammar.block_info] \
+        if kind == "block token" else nodes
+    path, (lhs, ai, children) = data.draw(st.sampled_from(candidates))
+    if kind == "index -1":
+        node = (lhs, -1, children)
+    elif kind == "index True":
+        node = (lhs, True, children)
+    elif kind == "index out of range":
+        node = (lhs, len(grammar.productions[lhs]), children)
+    elif kind == "terminal swapped":
+        i = data.draw(st.sampled_from([i for i, c in enumerate(children) if isinstance(c, str)]))
+        tokens = {s for alts in grammar.productions.values() for alt in alts for s in alt
+                  if s not in grammar.productions}
+        token = data.draw(st.sampled_from(sorted(tokens - {children[i]})))
+        node = (lhs, ai, children[:i] + (token,) + children[i + 1:])
+    elif kind == "block token":
+        cap = grammar.block_info[lhs][0]
+        count = data.draw(st.integers(1, cap + 1).filter(lambda m: m != ai + 1))
+        node = (lhs, ai, (f"{count}b",))
+    elif kind == "children as list":
+        node = (lhs, ai, list(children))
+    elif kind == "dropped child":
+        i = data.draw(st.integers(0, len(children) - 1))
+        node = (lhs, ai, children[:i] + children[i + 1:])
+    else:
+        node = data.draw(st.sampled_from([n for _, n in nodes if n[0] != lhs]))
+    return _put(derivation, path, node)
+
+
+def _parses_back(grammar, derivation):
+    """The oracle: a derivation of the grammar is the one its string parses
+    back to."""
+    try:
+        return hg.parse(grammar, hg.serialize(derivation)) == derivation
+    except hg.GrammarError:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(stages=st.integers(2, 6), scale=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(MUTATIONS), data=st.data())
+def test_derivation_check_matches_parse_oracle(stages, scale, seed, kind, data):
+    """The one derivation check accepts a mutated derivation exactly when it
+    parses back to itself, and encoding raises GrammarError exactly when the
+    check fails."""
+    grammar = hg.build_grammar(stages, scale)
+    derivation = hg.sample_derivation(grammar, "uniform", seed)
+    assert hg.validate_derivation(grammar, derivation)
+    mutated = _mutate(grammar, derivation, kind, data)
+    valid = hg.validate_derivation(grammar, mutated)
+    assert valid == _parses_back(grammar, mutated)
+    config = cs.Configuration({}, mutated)
+    if valid:
+        cs.normalize(cs.build_space([], grammar), config)
+    else:
+        with pytest.raises(hg.GrammarError):
+            cs.normalize(cs.build_space([], grammar), config)
 
 
 @settings(max_examples=150, deadline=None)
