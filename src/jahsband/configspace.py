@@ -16,12 +16,12 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
 
-import numpy as np
-
 from ._normal import ndtr, ndtri
+from ._pcg64 import PCG64, stream
 
 FLOAT = "float"
 LOG_FLOAT = "log_float"
@@ -69,7 +69,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _uniform(rng: np.random.Generator, a: float, b: float) -> float:
+def _uniform(rng: PCG64, a: float, b: float) -> float:
     """``rng.uniform(a, b)`` bit for bit: numpy's ``a + (b - a) * next_double``
     from the one double ``rng.random()`` takes, without the argument checks."""
     return a + (b - a) * rng.random()
@@ -81,7 +81,7 @@ def _truncnorm_bounds(mu: float, sigma: float) -> tuple[float, float]:
 
 
 def _truncnorm_sample(
-    rng: np.random.Generator, mu: float, sigma: float, bounds: tuple[float, float]
+    rng: PCG64, mu: float, sigma: float, bounds: tuple[float, float]
 ) -> float:
     """One draw from a normal(mu, sigma) truncated to [0, 1], by inverse CDF
     between ``bounds``, the pair's :func:`_truncnorm_bounds`, which callers
@@ -143,13 +143,19 @@ class ParameterSpec:
             )
 
     def contains(self, value: Any) -> bool:
-        if self.kind in _NUMERIC_KINDS:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                return False
-            if not self.lo <= value <= self.hi:
-                return False
-            return self.kind != INTEGER or float(value) == int(value)
-        return value in self.values
+        """Whether ``value`` is in the domain. A bool is no number, an integer
+        kind takes ints only, and a listed value must match in type too."""
+        if self.kind not in _NUMERIC_KINDS:
+            return self._index(value) is not None
+        return (isinstance(value, int if self.kind == INTEGER else (int, float))
+                and not isinstance(value, bool) and self.lo <= value <= self.hi)
+
+    def _index(self, value: Any) -> int | None:
+        """Position of the listed value equal to ``value`` in type and value."""
+        for i, v in enumerate(self.values):
+            if v == value and type(v) is type(value):
+                return i
+        return None
 
     @property
     def n_choices(self) -> int:
@@ -164,18 +170,20 @@ class ParameterSpec:
         first; ordinal maps to index/(K-1). Categorical maps to the raw
         category index (not interpolated).
         """
+        if self.kind not in _NUMERIC_KINDS:
+            idx = self._index(value)
+            if idx is None:
+                raise OutOfDomainError(f"{self.name}: {value!r} outside domain")
+            if self.kind == ORDINAL:
+                return idx / (self.n_choices - 1) if self.n_choices > 1 else 0.0
+            return float(idx)
         if not self.contains(value):
             raise OutOfDomainError(f"{self.name}: {value!r} outside domain")
-        if self.kind == FLOAT or self.kind == INTEGER:
-            return (float(value) - self.lo) / (self.hi - self.lo)
         if self.kind == LOG_FLOAT:
             return (math.log(value) - math.log(self.lo)) / (
                 math.log(self.hi) - math.log(self.lo)
             )
-        idx = self.values.index(value)
-        if self.kind == ORDINAL:
-            return idx / (self.n_choices - 1) if self.n_choices > 1 else 0.0
-        return float(idx)
+        return (float(value) - self.lo) / (self.hi - self.lo)
 
     def from_unit(self, coord: float) -> Any:
         """Inverse of :meth:`to_unit`; integer-like kinds round to nearest."""
@@ -339,27 +347,26 @@ def choice_cdf(probs: Sequence[float]) -> tuple[float, ...]:
     """The CDF ``Generator.choice(k, p=probs)`` searches, computed with the
     same operations (cumulative sum, then division by its last entry), so
     :func:`draw_index` on it reproduces that ``choice`` bit for bit."""
-    cdf = np.asarray(probs, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    return tuple(cdf.tolist())
+    cdf = list(accumulate(map(float, probs)))
+    return tuple(c / cdf[-1] for c in cdf)
 
 
 def boosted_cdf(k: int, m: float, favored: int) -> tuple[float, ...]:
     """:func:`choice_cdf` of the boosted-default distribution over ``k``
     choices: weight ``m`` on index ``favored``, 1 on every other."""
-    probs = np.full(k, 1.0 / (m + k - 1))
+    probs = [1.0 / (m + k - 1)] * k
     probs[favored] = m / (m + k - 1)
     return choice_cdf(probs)
 
 
-def draw_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+def draw_index(rng: PCG64, cdf: Sequence[float]) -> int:
     """One index drawn from ``cdf`` with exactly one ``rng.random()``: the
     index ``rng.choice(len(cdf), p=probs)`` returns, leaving the stream where
     it leaves it. A zero-probability index is never drawn."""
     return bisect_right(cdf, rng.random())
 
 
-def _sample_param_uniform(rng: np.random.Generator, spec: ParameterSpec) -> Any:
+def _sample_param_uniform(rng: PCG64, spec: ParameterSpec) -> Any:
     if spec.kind == FLOAT:
         return _uniform(rng, float(spec.lo), float(spec.hi))
     if spec.kind == LOG_FLOAT:
@@ -406,7 +413,7 @@ def _prior(
 def sample(
     space: SearchSpace,
     strategy: Strategy = "uniform",
-    seed: int | np.random.Generator = 0,
+    seed: int | PCG64 = 0,
     confidence: str | None = None,
 ) -> Configuration:
     """Draw one configuration.
@@ -423,7 +430,7 @@ def sample(
     once. The random calls and float operations stay those of a draw that
     recomputes the plan, so the results are bit-identical.
     """
-    rng = np.random.default_rng(seed)  # a Generator is returned as it is
+    rng = stream(seed)
     assignments: dict[str, Any] = {}
     if strategy == "uniform":
         for spec in space.parameters:

@@ -23,8 +23,7 @@ import re
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
+from ._pcg64 import PCG64, stream
 from .configspace import (
     CONFIDENCE_SIGMA,
     _prior_entry,
@@ -421,7 +420,7 @@ def _prior_plan(grammar: Grammar, center: Derivation, confidence: str) -> dict:
 def sample_derivation(
     grammar: Grammar,
     mode: str | tuple = "uniform",
-    seed: int | np.random.Generator = 0,
+    seed: int | PCG64 = 0,
 ) -> Derivation:
     """Draw one derivation.
 
@@ -432,7 +431,7 @@ def sample_derivation(
     the branch being expanded (so a residual branch centers on the residual
     profile even when the default derivation is convolutional).
     """
-    rng = np.random.default_rng(seed)  # a Generator is returned as it is
+    rng = stream(seed)
     prods = grammar.productions
 
     if mode == "uniform":

@@ -28,8 +28,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
+from ._pcg64 import stream
 from .configspace import (
     ARCH_BLOCKS,
     CATEGORICAL,
@@ -41,6 +40,7 @@ from .configspace import (
 from .moo import CostVector
 
 if TYPE_CHECKING:
+    import numpy as np
     from .priorband import RunHistory
 
 
@@ -90,6 +90,8 @@ def dsc(x_mask: np.ndarray, y_mask: np.ndarray) -> float:
 
     Two empty masks agree perfectly and score 1.0.
     """
+    import numpy as np
+
     x = np.asarray(x_mask, dtype=bool)
     y = np.asarray(y_mask, dtype=bool)
     if x.shape != y.shape:
@@ -172,8 +174,8 @@ class SyntheticProblem:
         ("default"). The other fields come from ``settings`` as given."""
         names = coordinate_names(space)
         if optimum == "random":
-            rng = np.random.default_rng(problem_seed)
-            optimum = {n: float(rng.uniform()) for n in names}
+            rng = stream(problem_seed)
+            optimum = {n: rng.random() for n in names}
         elif optimum == "default":
             row = normalize(space, space.default_configuration())
             optimum = {n: row[i] / scale for n, (i, scale) in cls._coordinates(space).items()}
@@ -234,6 +236,8 @@ class SyntheticProblem:
         )
         primary = 1.0 - quality * curve
         if self.noise > 0.0:
+            import numpy as np
+
             entropy = hashlib.sha256(
                 f"{self.fingerprint()}|{config_key(config)}|{budget}|{seed}".encode()
             ).digest()

@@ -20,9 +20,8 @@ from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
-import numpy as np
-
 from . import configspace as cs
+from ._pcg64 import PCG64, seed_words
 from .configspace import Configuration, SearchSpace
 from .grammar import Derivation, parse
 from .harness import EvaluationFailed, MalformedRowError
@@ -53,8 +52,8 @@ class SamplerWeights:
         if min(self.random, self.prior, self.incumbent) < 0 or abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must be a probability vector, got {self}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.random, self.prior, self.incumbent])
+    def as_array(self) -> list[float]:
+        return [self.random, self.prior, self.incumbent]
 
 
 class RunHistory:
@@ -219,8 +218,8 @@ class RunResult:
 
 
 def _eval_seed(run_seed: int, config_id: int, rung: int) -> int:
-    ss = np.random.SeedSequence([run_seed, config_id, rung])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """``SeedSequence([run_seed, config_id, rung]).generate_state(1, np.uint64)[0]``."""
+    return seed_words([run_seed, config_id, rung], 1)[0]
 
 
 def _recorded_cost(primary: float, runtime: float) -> CostVector | None:
@@ -258,7 +257,7 @@ def run(
     ).names != space.names:
         raise ValueError("problem and space disagree on parameters")
     plan = bracket_plan(ladder, policy)
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     history = RunHistory(space, ladder, run_seed=seed)
     pool = None
     if workers > 1:  # imported here, so a serial run loads no thread pool

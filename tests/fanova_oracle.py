@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from jahsband.analysis import _history_matrix
+from jahsband._forest import _history_matrix
 
 _LEAF = 0
 _NUMERIC_SPLIT = 1

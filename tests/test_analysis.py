@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 import jahsband as jb
 from jahsband import configspace as cs
-from jahsband import analysis
-from jahsband.analysis import (
+from jahsband import _forest
+from jahsband._forest import (
     _SCALAR_ROWS,
-    InsufficientDataError,
-    SpaceMismatchError,
     _Draws,
     _best_categorical_split,
     _best_numeric_split,
@@ -22,6 +20,10 @@ from jahsband.analysis import (
     _dense_ranks,
     _pcg64_halves,
     _sum,
+)
+from jahsband.analysis import (
+    InsufficientDataError,
+    SpaceMismatchError,
     cross_eval,
     export_reports,
     fanova_first_order,
@@ -256,7 +258,7 @@ class TestFanovaMatchesOracle:
     @pytest.mark.parametrize("cutoff", [0, 10**6])
     def test_array_and_list_paths_alone(self, monkeypatch, cutoff):
         # 0 grows every node on arrays, 10**6 every node on lists
-        monkeypatch.setattr(analysis, "_SCALAR_ROWS", cutoff)
+        monkeypatch.setattr(_forest, "_SCALAR_ROWS", cutoff)
         assert_matches_oracle(grammar_space_history(), trees=8, seed=0,
                               max_depth=12)
 
@@ -268,7 +270,7 @@ class TestFanovaMatchesOracle:
     def test_split_between_adjacent_floats(self, monkeypatch, cutoff):
         # 0.5 * (1.0 - 2**-53 + 1.0) rounds to 1.0, which would send every
         # row left and leave the right child without rows
-        monkeypatch.setattr(analysis, "_SCALAR_ROWS", cutoff)
+        monkeypatch.setattr(_forest, "_SCALAR_ROWS", cutoff)
         below = float(np.nextafter(1.0, 0.0))
         rows = [(cs.Configuration({"p0": x, "p1": 0.0}), y, 1.0)
                 for x, y in [(below, 0.0)] * 60 + [(1.0, 1.0)] * 2]

@@ -409,6 +409,60 @@ def test_reports_load_no_numpy_random(tmp_path):
         assert (bare / "seed_0" / name).read_bytes() == (ordinary / "seed_0" / name).read_bytes()
 
 
+#: runs ``jahsband.cli.main`` on each JSON-encoded argv of ``sys.argv[2:]``,
+#: with numpy unimportable when ``sys.argv[1]`` is "blocked", then prints
+#: whether numpy got loaded
+WITHOUT_NUMPY = """
+import json, sys
+
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any import of it now raises ImportError
+from jahsband.cli import main
+
+for argv in sys.argv[2:]:
+    code = main(json.loads(argv))
+    if code:
+        sys.exit(code)
+print(json.dumps(sys.modules.get("numpy") is not None))
+"""
+
+
+def test_search_and_pareto_load_no_numpy(tmp_path):
+    """The search draws from a pure-Python PCG64: a run (serial, on two
+    workers, replayed, and single-objective with restart charging) and
+    ``report pareto`` load no numpy, and with numpy unimportable they write
+    the bytes an ordinary process writes."""
+    flags = ["--space", SPACE, "--min-budget", "1", "--max-budget", "27", "--eta", "3",
+             "--seed", "0"]
+
+    def commands(root):
+        history = root / "run" / "seed_0" / "history.csv"
+        return [
+            ["run", *flags, "--out", str(root / "run")],
+            ["run", *flags, "--workers", "2", "--out", str(root / "run2")],
+            ["run", *flags, "--problem", "replay", "--replay-file", str(history),
+             "--out", str(root / "replay")],
+            ["run", *flags, "--mode", "priorband", "--restart", "--out", str(root / "restart")],
+            ["report", "pareto", "--run", str(root / "run")],
+        ]
+
+    paths = [str(Path(jahsband.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for side in ("ordinary", "blocked"):
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_NUMPY, side,
+             *map(json.dumps, commands(tmp_path / side))],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) is False
+    written = sorted((tmp_path / "ordinary").glob("*/seed_0/*"))
+    assert len(written) == 4 * 3
+    for path in written:
+        twin = tmp_path / "blocked" / path.relative_to(tmp_path / "ordinary")
+        assert twin.read_bytes() == path.read_bytes(), path
+
+
 class TestGrammarCommand:
     def test_count_reference(self, capsys):
         assert run_cli("grammar", "count", "--stages", "4", "--scale", "1") == 0
@@ -776,6 +830,13 @@ INPUT_ERRORS = {
         _history_config(_config_edit(lambda doc: {**doc, "Activation": "bogus"})),
     "string for a float in history":
         _history_config(_config_edit(lambda doc: {**doc, "Dropout Rate": "0.1"})),
+    # each once read as the listed value it equals
+    "bool for an ordinal in history":
+        _history_config(_config_edit(lambda doc: {**doc, "Model Scale": True})),
+    "float for an int ordinal in history":
+        _history_config(_config_edit(lambda doc: {**doc, "Model Scale": 1.0})),
+    "float for an integer in history":
+        _history_config(_config_edit(lambda doc: {**doc, "Base #Features": 32.0})),
 }
 
 #: what the message of an INPUT_ERRORS case says of the key it names
@@ -793,6 +854,9 @@ NAMED_KEYS = {
     "missing parameter in history": "line 2: missing value for Activation",
     "value outside its domain in history": "line 2: Activation: 'bogus' outside domain",
     "string for a float in history": "line 2: Dropout Rate: '0.1' outside domain",
+    "bool for an ordinal in history": "line 2: Model Scale: True outside domain",
+    "float for an int ordinal in history": "line 2: Model Scale: 1.0 outside domain",
+    "float for an integer in history": "line 2: Base #Features: 32.0 outside domain",
 }
 
 #: manifest values of the wrong type, each once an exit 1 or a silent run

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
 from jahsband import configspace as cs
+from jahsband._pcg64 import PCG64
 from jahsband.grammar import serialize
 from jahsband.priorband import SamplerWeights
 
@@ -85,6 +86,23 @@ class TestNormalize:
     def test_categorical_maps_to_index(self):
         space = table_space()
         assert space["Optimizer"].to_unit("AdamW") == 2.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("Model Scale", True),  # a bool is no number
+        ("Model Scale", 1.0),  # equals the listed int 1
+        ("Base #Features", 32.0),  # an integer parameter takes ints
+    ])
+    def test_value_equal_to_a_domain_value_of_another_type(self, name, value):
+        space = table_space()
+        assert not space[name].contains(value)
+        config = space.default_configuration()
+        with pytest.raises(cs.OutOfDomainError, match=name):
+            space.validate(cs.Configuration({**config.assignments, name: value},
+                                            config.derivation))
+
+    def test_listed_values_of_two_types_encode_apart(self):
+        spec = cs.ParameterSpec("o", "ordinal", values=(1.0, 1, True), default=1)
+        assert [spec.to_unit(v) for v in (1.0, 1, True)] == [0.0, 0.5, 1.0]
 
     def test_unknown_parameter(self):
         space = float_space(2)
@@ -270,13 +288,18 @@ class TestDraw:
     }
 
     @pytest.mark.parametrize("kind", sorted(SAMPLE_PINS))
-    def test_sample_stream_pinned(self, kind):
+    def test_sample_stream_pinned(self, kind, stream=np.random.default_rng):
         space = table_space()
         strategy = ("around", cs.sample(space, "uniform", 7)) if kind == "around" else kind
-        rng = np.random.default_rng(2024)
+        rng = stream(2024)
         digest = hashlib.sha256()
         for _ in range(200):
             config = cs.sample(space, strategy, rng)
             digest.update((json.dumps(config.assignments, sort_keys=True) + "|"
                            + serialize(config.derivation) + "\n").encode())
         assert (digest.hexdigest(), rng.random()) == self.SAMPLE_PINS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLE_PINS))
+    def test_port_stream_pinned(self, kind):
+        """The same pins from the pure-Python stream a run draws from."""
+        self.test_sample_stream_pinned(kind, stream=PCG64)

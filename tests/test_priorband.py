@@ -17,7 +17,8 @@ import jahsband as jb
 from jahsband import configspace as cs
 from jahsband import grammar as hg
 from jahsband import priorband
-from jahsband.analysis import _history_matrix, export_reports, write_incumbent_trajectory
+from jahsband._forest import _history_matrix
+from jahsband.analysis import export_reports, write_incumbent_trajectory
 from jahsband.harness import EvaluationFailed, SyntheticProblem
 from jahsband.moo import CostVector
 from jahsband.priorband import (
