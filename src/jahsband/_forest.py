@@ -1,152 +1,60 @@
 """The random forest behind :func:`.analysis.fanova_first_order`, grown
 with numpy; imported on that function's first call, so a process that
-writes no importance loads no numpy."""
+writes no importance loads no numpy. Its bootstrap and candidate features
+are drawn from the package's one PCG64 (:class:`._pcg64.PCG64`)."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
-from ._pcg64 import _MASK32, _MASK64, _MASK128, PCG_MULT, pcg64_state
+from ._pcg64 import _MASK32, PCG64
 from .analysis import ForestSettingsError, ImportanceReport, InsufficientDataError
 from .configspace import CATEGORICAL, coordinate_names, normalize
 from .priorband import RunHistory
 
-_BLOCK = 512  # PCG64 words stepped at a time: a tree takes a few thousand
-
-
-def _pcg64_halves(seed: int) -> Iterator[np.ndarray]:
-    """The 32-bit halves, low half first, of the raw 64-bit words of numpy's
-    ``default_rng(seed)`` (:class:`._pcg64.PCG64`'s), as uint64 arrays of
-    ``2 * _BLOCK``: its LCG stepped a block at a time in uint64 arithmetic."""
-    state, inc = pcg64_state(seed)
-    # the j-th state after s is a_j * s + c_j (mod 2**128), with a_j and c_j
-    # its j-step constants; uint64 arithmetic wraps mod 2**64, so 64-bit
-    # products are taken in 32-bit limbs
-    a = list(accumulate(repeat(PCG_MULT, _BLOCK), lambda m, _: m * PCG_MULT & _MASK128))
-    c = list(accumulate(repeat(inc, _BLOCK), lambda k, _: k * PCG_MULT + inc & _MASK128))
-
-    def words(values: list[int], shift: int, mask: int = _MASK64) -> np.ndarray:
-        return np.array([v >> shift & mask for v in values], np.uint64)
-
-    limbs = ((0, _MASK32), (32, _MASK32), (0,), (64,))  # 32-bit limbs, 64-bit words
-    a0, a1, al, ah = (words(a, *limb) for limb in limbs)
-    cl, ch = words(c, 0), words(c, 64)
-    m32, n32, n58, n63, n64 = map(np.uint64, (_MASK32, 32, 58, 63, 64))
-    while True:
-        s0, s1, sl, sh = (words([state], *limb) for limb in limbs)
-        p00, p01, p10 = a0 * s0, a0 * s1, a1 * s0
-        mid = (p00 >> n32) + (p01 & m32) + (p10 & m32)
-        lo = (p00 & m32 | mid << n32) + cl  # low word of al * sl + cl
-        hi = (a1 * s1 + (p01 >> n32) + (p10 >> n32) + (mid >> n32)  # high word of al * sl
-              + ah * sl + al * sh + ch + (lo < cl))  # lo < cl: the carry of + cl
-        x, rot = hi ^ lo, hi >> n58  # XSL-RR output
-        word = x >> rot | x << (n64 - rot & n63)
-        yield np.stack((word & m32, word >> n32), axis=1).ravel()
-        state = int(hi[-1]) << 64 | int(lo[-1])
-
 
 class _Draws:
-    """The draws the forest makes of numpy's ``default_rng(seed)``, taken
-    from ``blocks``, the 32-bit halves of its raw PCG64 words
-    (:func:`_pcg64_halves`). numpy's algorithms are written out, so no
+    """The draws the forest makes of numpy's ``default_rng(seed)``, each
+    taken from ``next32``, the 32-bit halves of its PCG64 words in turn
+    (``PCG64(seed)._next32``). numpy's algorithms are written out, so no
     numpy release that changes ``Generator`` methods (NEP 19) moves a draw:
     a bounded draw is Lemire's multiply-shift with its rejection step, and
-    ``choice(replace=False)`` is Floyd's selection, then a shuffle.
+    ``choice(replace=False)`` is Floyd's selection, then a shuffle."""
 
-    Draws are taken in bulk. A bootstrap takes all its products at once.
-    ``choice`` precomputes a batch of calls with the same (d, k), a fixed
-    group of halves each, up to the first group that has a draw the fast
-    test rejects; that call is drawn one half at a time. The position in
-    the stream moves only by what a call consumes, so a call of another
-    kind drops the batch's unused rows and starts where the last one ended."""
-
-    def __init__(self, blocks: Iterator[np.ndarray]) -> None:
-        self._blocks = blocks
-        self._halves, self._pos = np.empty(0, np.uint64), 0  # next half: _halves[_pos]
-        self._rows: list[list[int]] = []  # batched choice results, the next one last
-        self._shape, self._group = (0, 0), 0  # the batch's (d, k), halves per call
-
-    def _ahead(self, count: int) -> np.ndarray:
-        """At least ``count`` halves from the position on."""
-        while len(self._halves) - self._pos < count:
-            self._halves = np.concatenate((self._halves[self._pos:], next(self._blocks)))
-            self._pos = 0
-        return self._halves[self._pos:]
+    def __init__(self, next32: Callable[[], int]) -> None:
+        self._next32 = next32
 
     def _draw(self, n: int) -> int:
-        """One draw under n, a half at a time: Lemire's product of a half and
-        n, redrawn while its low half is under 2**32 % n (numpy tests against
-        n first; 2**32 % n is below n, so the draws are the same)."""
-        threshold = (_MASK32 + 1 - n) % n
-        while True:
-            m = int(self._ahead(1)[0]) * n
-            self._pos += 1
-            if m & _MASK32 >= threshold:
-                return m >> 32
+        """A draw under n: Lemire's product of a half and n, redrawn while
+        its low half is under 2**32 % n (numpy tests against n first;
+        2**32 % n is below n, so the draws are the same)."""
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = (_MASK32 + 1 - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return m >> 32
 
-    def integers(self, n: int, size: int) -> np.ndarray:
+    def integers(self, n: int, size: int) -> list[int]:
         """``Generator.integers(n, size=size)``, 1 <= n <= 2**32; n == 1 draws nothing."""
-        self._rows = []
-        drawn, done = np.zeros(size, np.uint64), 0
-        while done < size and n > 1:
-            m = self._ahead(size - done)[:size - done] * n
-            rejected = np.flatnonzero(m & _MASK32 < n)
-            i = int(rejected[0]) if rejected.size else size - done
-            drawn[done:done + i] = m[:i] >> 32
-            self._pos += i
-            done += i
-            if done < size:  # m[i] failed the fast test: drawn on its own
-                drawn[done] = self._draw(n)
-                done += 1
-        return drawn
-
-    def _batch(self, d: int, k: int) -> None:
-        """Precompute ``choice(d, k)`` calls from the halves ahead: their
-        draws are bounded by Floyd's j + 1 for each j >= 1, then the
-        shuffle's i + 1."""
-        bounds = np.array([j + 1 for j in range(max(d - k, 1), d)] + list(range(k, 1, -1)),
-                          np.uint64)
-        g = len(bounds)
-        self._shape, self._group, self._rows = (d, k), g, []
-        if not g:
-            return
-        halves = self._ahead(g)
-        m = halves[:len(halves) // g * g].reshape(-1, g) * bounds
-        accepted = (m & _MASK32 >= bounds).all(axis=1)
-        v = (m[:accepted.argmin() if not accepted.all() else len(m)] >> 32).astype(np.intp)
-        cols = [np.zeros(len(v), np.intp)] if d == k else []  # j == 0 draws nothing, picks 0
-        for j, draw in zip(range(d - k + len(cols), d), v.T):
-            repeat = np.zeros(len(v), bool)
-            for col in cols:
-                repeat |= col == draw
-            cols.append(np.where(repeat, j, draw))
-        picked = np.stack(cols, axis=1)
-        flat, starts = picked.ravel(), np.arange(0, picked.size, k)
-        for i, j in zip(range(k - 1, 0, -1), v.T[k - (d == k):]):
-            at = starts + j  # each row's column j, swapped with its column i
-            picked[:, i], flat[at] = flat[at], picked[:, i].copy()
-        self._rows = picked[::-1].tolist()
+        draw = self._draw
+        return [draw(n) for _ in range(size)] if n > 1 else [0] * size
 
     def choice(self, d: int, k: int) -> list[int]:
         """``Generator.choice(d, size=k, replace=False)``, k <= d <= 10000:
         Floyd's selection (j on a repeat), then a Fisher-Yates shuffle."""
-        if not self._rows or self._shape != (d, k):
-            self._batch(d, k)
-        if self._rows:
-            self._pos += self._group
-            return self._rows.pop()
-        picked: list[int] = []
+        draw, picked = self._draw, []
         for j in range(d - k, d):
-            v = self._draw(j + 1) if j else 0
+            v = draw(j + 1) if j else 0
             picked.append(j if v in picked else v)
         for i in range(k - 1, 0, -1):
-            j = self._draw(i + 1)
+            j = draw(i + 1)
             picked[i], picked[j] = picked[j], picked[i]
         return picked
 
@@ -465,9 +373,10 @@ def importance(
     skips the candidates that are constant in its node. Both paths add in
     numpy's order (:func:`_sum`, :func:`_best_numeric_split`), so every
     forest, and every importance, is bit-identical to scoring each column
-    on its own. The bootstrap and every node's candidates are drawn by
-    :class:`_Draws`, which gives what ``Generator`` draws from the same
-    seed give.
+    on its own. Each tree's bootstrap, then its nodes' candidates in
+    depth-first order, are drawn by :class:`_Draws` from one
+    ``PCG64(seed)``, the generator the search draws from, one 32-bit half
+    at a time: they are what ``default_rng(seed)`` would draw.
     """
     if trees < 1 or seed < 0:
         raise ForestSettingsError(f"need trees >= 1 and seed >= 0, got {trees}, {seed}")
@@ -479,13 +388,13 @@ def importance(
         zeros = {n: 0.0 for n in names}
         return ImportanceReport(dict(zeros), dict(zeros))
 
-    draws = _Draws(_pcg64_halves(seed))
+    draws = _Draws(PCG64(seed)._next32)
     n_candidates = max(1, math.ceil(math.sqrt(d)))
     ranks = _dense_ranks(X)
     fractions = np.zeros((trees, d))
     used = np.zeros(trees, dtype=bool)
     for t in range(trees):
-        bootstrap = draws.integers(len(y), len(y))
+        bootstrap = np.array(draws.integers(len(y), len(y)))
         presorted = np.argsort(ranks[bootstrap].T, axis=1, kind="stable")
         leaves = _fit_tree(X[bootstrap], y[bootstrap], presorted, categorical, max_depth,
                            n_candidates, draws)

@@ -1,5 +1,6 @@
 """numpy's ``SeedSequence`` and ``default_rng(seed)`` for scalar draws, bit
-for bit in plain Python, so the search draws without numpy. NEP 19 lets
+for bit in plain Python: the package's one PCG64, which the search (without
+numpy) and the importance forest draw from. NEP 19 lets
 numpy change a ``Generator`` stream between releases; this is the stream of
 numpy 1.17 on (O'Neill's seed_seq_fe, PCG64 with XSL-RR output, Lemire's
 bounded integers), and the tests pin every draw against numpy's own."""

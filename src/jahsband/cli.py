@@ -265,6 +265,8 @@ def cmd_grammar(args: argparse.Namespace) -> int:
             print(serialize(derivation))
     else:
         seeds = _parse_seed_spec(args.seeds)
+        if not seeds:
+            raise ManifestError("at least one seed required")
         center = default_derivation(grammar)
         for seed in seeds:
             if args.mode == "uniform":
@@ -296,7 +298,7 @@ def _load_run(run_dir: Path, seed_dir: str):
 def cmd_report(args: argparse.Namespace) -> int:
     if args.report_action in ("importance", "pareto"):
         _, _, _, history = _load_run(Path(args.run), args.seed_dir)
-        out = Path(args.run) / args.seed_dir / f"{args.report_action}.json"
+        out = Path(args.out or Path(args.run) / args.seed_dir / f"{args.report_action}.json")
         if args.report_action == "importance":
             analysis.write_importance_json(analysis.fanova_first_order(
                 history, trees=args.trees, seed=args.rf_seed), out)
@@ -385,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--seed-dir", default="seed_0")
     p_report.add_argument("--trees", type=int, default=32)
     p_report.add_argument("--rf-seed", type=int, default=0)
-    p_report.add_argument("--out")
+    p_report.add_argument("--out", help="output file (default: <run>/<seed-dir>/"
+                          "<report>.json; crosseval: <first run>/crosseval.csv)")
     p_report.set_defaults(func=cmd_report)
     return parser
 

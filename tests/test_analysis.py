@@ -1,6 +1,5 @@
 import json
 import math
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +17,9 @@ from jahsband._forest import (
     _best_numeric_split,
     _best_numeric_splits,
     _dense_ranks,
-    _pcg64_halves,
     _sum,
 )
+from jahsband._pcg64 import PCG64
 from jahsband.analysis import (
     InsufficientDataError,
     SpaceMismatchError,
@@ -33,7 +32,6 @@ from jahsband.harness import SyntheticProblem
 from jahsband.moo import CostVector
 
 from conftest import dominates, float_space, history_from_table
-import draws_oracle
 import fanova_oracle as oracle
 
 SPACES_DIR = Path(__file__).resolve().parents[1] / "spaces"
@@ -182,8 +180,8 @@ def assert_matches_oracle(history, trees, seed, max_depth):
 
 
 class TestFanovaMatchesOracle:
-    """The presorted, batched forest, with its small subtrees grown on
-    Python lists, equals the frozen per-node forest float for float."""
+    """The presorted forest, with its small subtrees grown on Python lists,
+    equals the frozen per-node forest float for float."""
 
     @settings(max_examples=120, deadline=None)
     @given(history=mixed_histories(), trees=st.integers(1, 4),
@@ -418,19 +416,19 @@ def generator_calls():
 
 def call(source, name, a, b):
     if isinstance(source, _Draws):
-        drawn = getattr(source, name)(a, b)
-        return drawn.tolist() if name == "integers" else drawn
-    if isinstance(source, draws_oracle.Draws):
         return getattr(source, name)(a, b)
     if name == "integers":
         return source.integers(a, size=b).tolist()
     return source.choice(a, size=b, replace=False).tolist()
 
 
+def draws(seed):
+    return _Draws(PCG64(seed)._next32)
+
+
 class TestDraws:
-    """The forest's stream is the raw PCG64 stream of
-    ``np.random.default_rng(seed)``, and its draws equal that generator's
-    and leave the stream at the same point."""
+    """The forest's draws from ``PCG64(seed)`` equal those of
+    ``np.random.default_rng(seed)`` and leave the stream at the same point."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**256 - 1))
@@ -440,37 +438,32 @@ class TestDraws:
     @example(seed=2**128 + 1)  # five: one is mixed in after the pool
     @example(seed=2**256 - 1)
     def test_halves_match_numpy_raw_words(self, seed):
-        # 1,000 words cross the first block of 512 the port steps at once
+        # the forest's half source: numpy's raw words, low half first
         words = np.random.default_rng(seed).bit_generator.random_raw(1000)
         expected = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()
-        blocks = list(islice(_pcg64_halves(seed), 2))
-        assert [b.shape for b in blocks] == [(1024,), (1024,)]
-        assert np.concatenate(blocks)[:2000].tolist() == expected.tolist()
+        next32 = PCG64(seed)._next32
+        assert [next32() for _ in range(2000)] == expected.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(generator_calls(), max_size=60))
     def test_interleaved_calls_match_generator(self, seed, calls):
-        rng = np.random.default_rng(seed)
-        draws = _Draws(_pcg64_halves(seed))
+        rng, forest = np.random.default_rng(seed), draws(seed)
         for name, a, b in calls + [("integers", 2**31 + 1, 3)]:
-            assert call(draws, name, a, b) == call(rng, name, a, b)
+            assert call(forest, name, a, b) == call(rng, name, a, b)
 
     @pytest.mark.parametrize("name, a, b", [
         ("integers", 1, 5), ("integers", 1, 0), ("choice", 1, 1), ("choice", 2, 2)])
     def test_a_single_value_draws_nothing(self, name, a, b):
-        rng = np.random.default_rng(7)
-        draws = _Draws(_pcg64_halves(7))
-        assert call(draws, name, a, b) == call(rng, name, a, b)
-        assert draws.integers(600, 4).tolist() == rng.integers(600, size=4).tolist()
+        rng, forest = np.random.default_rng(7), draws(7)
+        assert call(forest, name, a, b) == call(rng, name, a, b)
+        assert forest.integers(600, 4) == rng.integers(600, size=4).tolist()
 
     def test_rejection_matches_generator(self):
         # below 2**31 + 1 about half of all draws are rejected and redrawn
-        rng = np.random.default_rng(3)
-        draws = _Draws(_pcg64_halves(3))
+        rng, forest = np.random.default_rng(3), draws(3)
         for _ in range(4):
-            assert (draws.integers(2**31 + 1, 64).tolist()
-                    == rng.integers(2**31 + 1, size=64).tolist())
-            assert draws.choice(17, 5) == rng.choice(17, size=5, replace=False).tolist()
+            assert forest.integers(2**31 + 1, 64) == rng.integers(2**31 + 1, size=64).tolist()
+            assert forest.choice(17, 5) == rng.choice(17, size=5, replace=False).tolist()
 
     def test_rejection_from_crafted_words(self):
         # a draw below 3 rejects a half whose product with 3 leaves a low
@@ -478,70 +471,9 @@ class TestDraws:
         # 0 (rejected), 0xFFFFFFFF -> 2; then 0 (rejected), 1 -> 0; then
         # 0x55555556 -> 1, whose low half 2 is under 3 but not under 1, so
         # it stands
-        draws = _Draws(iter([np.array([0, 0xFFFFFFFF, 0, 1, 0x55555556], np.uint64)]))
-        assert draws.choice(3, 1) == [2]
-        assert draws.integers(3, 2).tolist() == [0, 1]
-
-
-def crafted_blocks(halves, cuts):
-    """``halves`` as the batched draws take them, in blocks cut at ``cuts``,
-    and as the frozen scalar draws take them, one by one."""
-    blocks = np.split(np.array(halves, np.uint64), sorted(set(cuts)))
-    return _Draws(iter(blocks)), draws_oracle.Draws(iter(halves))
-
-
-class TestBatchedDraws:
-    """Bulk draws equal the frozen one-half-at-a-time draws of
-    ``tests/draws_oracle.py``, call by call, on the same halves: rejected
-    draws in every place a batch can meet them, and calls of another kind
-    that drop a part-used batch."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.01, 0.2]),
-           cuts=st.lists(st.integers(0, 30000), max_size=8),
-           calls=st.lists(generator_calls(), max_size=60))
-    def test_random_streams(self, seed, zeros, cuts, calls):
-        # a half of 0 fails every fast test, so zeros places rejections at random
-        gen = np.random.default_rng(seed)
-        halves = gen.integers(0, 2**32, size=30000, dtype=np.uint64)
-        halves[gen.random(halves.size) < zeros] = 0
-        batched, scalar = crafted_blocks(halves.tolist(), cuts)
-        for name, a, b in calls + [("choice", 17, 5)] * 30 + [("integers", 416, 40)]:
-            assert call(batched, name, a, b) == call(scalar, name, a, b)
-
-    @pytest.mark.parametrize("at", [0, 200, 415])
-    def test_rejection_in_a_bootstrap(self, at):
-        # first, in the middle and last: a half of 0 is redrawn, while
-        # stands fails the fast test (low half under 416) but not the slow
-        # one (low half under 2**32 % 416 == 256)
-        stands = 2 * (2**32 // 416 + 1)
-        assert 256 <= stands * 416 % 2**32 < 416
-        for rejected in ([0], [stands]):
-            halves = np.random.default_rng(at).integers(0, 2**32, size=3000).tolist()
-            halves[at:at + 1] = rejected
-            batched, scalar = crafted_blocks(halves, [1024, 2048])
-            for name, a, b in [("integers", 416, 416), ("choice", 17, 5), ("integers", 416, 416)]:
-                assert call(batched, name, a, b) == call(scalar, name, a, b)
-
-    @pytest.mark.parametrize("group, place", [(0, 0), (0, 3), (4, 5), (4, 8), (40, 8)])
-    def test_rejection_in_a_choice_group(self, group, place):
-        # choice(17, 5) takes 9 halves per call: Floyd's 4, then 4 to
-        # shuffle; place 8 is the last shuffle draw, bounded by 2
-        halves = np.random.default_rng(group).integers(0, 2**32, size=3000).tolist()
-        halves[9 * group + place] = 0
-        batched, scalar = crafted_blocks(halves, [1024])
-        for _ in range(60):
-            assert call(batched, "choice", 17, 5) == call(scalar, "choice", 17, 5)
-        assert call(batched, "integers", 416, 8) == call(scalar, "integers", 416, 8)
-
-    def test_tree_boundary_drops_a_part_used_batch(self):
-        halves = np.random.default_rng(5).integers(0, 2**32, size=6000).tolist()
-        batched, scalar = crafted_blocks(halves, [1024, 2048, 3072])
-        for calls in ([("integers", 300, 300)] + [("choice", 17, 5)] * 7,
-                      [("integers", 300, 300), ("choice", 9, 3), ("choice", 17, 5),
-                       ("choice", 17, 17), ("choice", 17, 5)]):
-            for name, a, b in calls * 2:
-                assert call(batched, name, a, b) == call(scalar, name, a, b)
+        forest = _Draws(iter([0, 0xFFFFFFFF, 0, 1, 0x55555556]).__next__)
+        assert forest.choice(3, 1) == [2]
+        assert forest.integers(3, 2) == [0, 1]
 
 
 @settings(max_examples=100, deadline=None)

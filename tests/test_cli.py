@@ -492,6 +492,12 @@ class TestGrammarCommand:
     def test_invalid_stage_count(self, capsys):
         assert run_cli("grammar", "count", "--stages", "1") == 2
 
+    @pytest.mark.parametrize("seeds", ["", ","])
+    def test_sample_without_seeds_exits_2(self, seeds, capsys):
+        assert run_cli("grammar", "sample", "--stages", "3", "--seeds", seeds) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least one seed required" in captured.err
+
 
 class TestReportCommand:
     def make_run(self, tmp_path, problem_seed="0"):
@@ -517,6 +523,20 @@ class TestReportCommand:
         original = (out / "seed_0" / "pareto.json").read_bytes()
         assert run_cli("report", "pareto", "--run", str(out)) == 0
         assert (out / "seed_0" / "pareto.json").read_bytes() == original
+
+    @pytest.mark.parametrize("report", ["importance", "pareto"])
+    def test_out_gets_the_default_bytes(self, report, tmp_path, capsys):
+        out = self.make_run(tmp_path)
+        default = out / "seed_0" / f"{report}.json"
+        args = ["report", report, "--run", str(out), "--trees", "4"]
+        assert run_cli(*args) == 0
+        expected = default.read_bytes()
+        default.unlink()
+        target = tmp_path / f"{report}-out.json"
+        assert run_cli(*args, "--out", str(target)) == 0
+        assert target.read_bytes() == expected
+        assert not default.exists()
+        assert capsys.readouterr().out.splitlines() == [str(default), str(target)]
 
     def test_pareto_without_completed_top_budget_trial(self, tmp_path, monkeypatch):
         """Every top-budget trial fails, the default configuration's too, so
