@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 evaluator failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -296,6 +297,8 @@ def _load_run(run_dir: Path, seed_dir: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.out and not Path(args.out).parent.is_dir():  # fail before the work
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     if args.report_action in ("importance", "pareto"):
         _, _, _, history = _load_run(Path(args.run), args.seed_dir)
         out = Path(args.out or Path(args.run) / args.seed_dir / f"{args.report_action}.json")
@@ -362,45 +365,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_grammar = sub.add_parser("grammar", help="U-Net grammar utilities")
-    p_grammar.add_argument("grammar_action",
-                           choices=["count", "enumerate", "sample"])
-    p_grammar.add_argument("--stages", type=int, required=True)
-    p_grammar.add_argument("--scale", type=int, default=1)
-    p_grammar.add_argument("--conv-blocks", type=_block_counts)
-    p_grammar.add_argument("--res-blocks", type=_block_counts)
-    p_grammar.add_argument("--dec-blocks", type=_block_counts)
-    p_grammar.add_argument("--limit", type=int, default=None)
-    p_grammar.add_argument("--mode", choices=["uniform", "prior"],
-                           default="uniform")
-    p_grammar.add_argument("--confidence",
-                           choices=["low", "medium", "high"], default="medium")
-    p_grammar.add_argument("--seeds", default="0",
-                           help="seed, list (0,1,2), or range (0..999)")
     p_grammar.set_defaults(func=cmd_grammar)
+    actions = p_grammar.add_subparsers(dest="grammar_action", required=True)
+    count = actions.add_parser("count", help="print the number of architectures")
+    enum = actions.add_parser("enumerate", help="print every architecture, one a line")
+    sample = actions.add_parser("sample", help="print one sampled architecture per seed")
+    for p_action in (count, enum, sample):
+        p_action.add_argument("--stages", type=int, required=True)
+        p_action.add_argument("--scale", type=int, default=1)
+        p_action.add_argument("--conv-blocks", type=_block_counts)
+        p_action.add_argument("--res-blocks", type=_block_counts)
+        p_action.add_argument("--dec-blocks", type=_block_counts)
+    enum.add_argument("--limit", type=int, default=None)
+    sample.add_argument("--mode", choices=["uniform", "prior"], default="uniform")
+    sample.add_argument("--confidence", choices=["low", "medium", "high"], default="medium")
+    sample.add_argument("--seeds", default="0", help="seed, list (0,1,2), or range (0..999)")
 
     p_report = sub.add_parser("report", help="post-hoc reports")
-    p_report.add_argument("report_action",
-                          choices=["importance", "crosseval", "pareto"])
-    p_report.add_argument("--run", help="run directory (importance/pareto)")
-    p_report.add_argument("--runs", nargs="+", default=[],
-                          help="run directories (crosseval)")
-    p_report.add_argument("--seed-dir", default="seed_0")
-    p_report.add_argument("--trees", type=int, default=32)
-    p_report.add_argument("--rf-seed", type=int, default=0)
-    p_report.add_argument("--out", help="output file (default: <run>/<seed-dir>/"
-                          "<report>.json; crosseval: <first run>/crosseval.csv)")
     p_report.set_defaults(func=cmd_report)
+    actions = p_report.add_subparsers(dest="report_action", required=True)
+    importance = actions.add_parser("importance", help="fANOVA importance of one run")
+    crosseval = actions.add_parser("crosseval", help="each run's incumbent on each problem")
+    pareto = actions.add_parser("pareto", help="Pareto front of one run")
+    for p_action in (importance, pareto):
+        p_action.add_argument("--run", required=True, help="run directory")
+    crosseval.add_argument("--runs", nargs="+", required=True, help="run directories")
+    for p_action in (importance, crosseval, pareto):
+        p_action.add_argument("--seed-dir", default="seed_0")
+        p_action.add_argument("--out", help="output file (default: <run>/<seed-dir>/"
+                              "<report>.json; crosseval: <first run>/crosseval.csv)")
+    importance.add_argument("--trees", type=int, default=32)
+    importance.add_argument("--rf-seed", type=int, default=0)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "report":
-        if args.report_action in ("importance", "pareto") and not args.run:
-            parser.error("--run is required")
-        if args.report_action == "crosseval" and not args.runs:
-            parser.error("--runs is required")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # the package's own input errors, and a file that is not UTF-8 or not

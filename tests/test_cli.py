@@ -528,7 +528,9 @@ class TestReportCommand:
     def test_out_gets_the_default_bytes(self, report, tmp_path, capsys):
         out = self.make_run(tmp_path)
         default = out / "seed_0" / f"{report}.json"
-        args = ["report", report, "--run", str(out), "--trees", "4"]
+        args = ["report", report, "--run", str(out)]
+        if report == "importance":
+            args += ["--trees", "4"]
         assert run_cli(*args) == 0
         expected = default.read_bytes()
         default.unlink()
@@ -623,6 +625,21 @@ class TestReportCommand:
         line = cut_last_row(out / "seed_0" / "history.csv")
         assert run_cli("report", "pareto", "--run", str(out)) == 2
         assert f"line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("report", ["importance", "crosseval"])
+    def test_out_in_a_missing_directory_exits_4_before_the_work(
+            self, report, tmp_path, monkeypatch, capsys):
+        def work(*args, **kwargs):
+            pytest.fail("the report did its work before it wrote")
+
+        out = self.make_run(tmp_path)
+        for name in ("fanova_first_order", "cross_eval"):
+            monkeypatch.setattr(analysis, name, work)
+        target = tmp_path / "missing" / "report.out"
+        flag = "--runs" if report == "crosseval" else "--run"
+        assert run_cli("report", report, flag, str(out), "--out", str(target)) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not target.parent.exists()
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "importance",
@@ -891,6 +908,21 @@ WRONG_TYPES = [
 ]
 
 
+#: a flag that only another action reads, each once accepted and ignored;
+#: R stands for a finished run
+FOREIGN_FLAGS = [
+    "report pareto --run R --trees 0",
+    "report pareto --run R --rf-seed -5",
+    "report pareto --run R --runs R",
+    "report importance --run R --runs X",
+    "report crosseval --runs R --trees 4",
+    "grammar count --stages 3 --limit 0",
+    "grammar count --stages 3 --seeds x",
+    "grammar enumerate --stages 2 --mode prior",
+    "grammar sample --stages 3 --limit 5",
+]
+
+
 class TestErrorExits:
     @pytest.fixture(scope="class")
     def finished_run(self, tmp_path_factory):
@@ -909,6 +941,22 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and NAMED_KEYS.get(case, "") in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", FOREIGN_FLAGS)
+    def test_flag_of_another_action_is_a_usage_error(
+            self, line, tmp_path, finished_run, capsys):
+        run = tmp_path / "run"
+        kept = ["manifest.resolved.json", "seed_0/history.csv"]
+        for name in kept:
+            (run / name).parent.mkdir(parents=True, exist_ok=True)
+            (run / name).write_bytes((finished_run / name).read_bytes())
+        with pytest.raises(SystemExit) as info:
+            run_cli(*[str(run) if arg == "R" else arg for arg in line.split()])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+        written = [p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()]
+        assert sorted(written) == kept
 
     @staticmethod
     def _manifest_only_run(tmp, payload):
