@@ -9,54 +9,13 @@ import math
 from bisect import bisect_right
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Callable
 
 import numpy as np
 
-from ._pcg64 import _MASK32, PCG64
+from ._pcg64 import PCG64
 from .analysis import ForestSettingsError, ImportanceReport, InsufficientDataError
 from .configspace import CATEGORICAL, coordinate_names, normalize
 from .priorband import RunHistory
-
-
-class _Draws:
-    """The draws the forest makes of numpy's ``default_rng(seed)``, each
-    taken from ``next32``, the 32-bit halves of its PCG64 words in turn
-    (``PCG64(seed)._next32``). numpy's algorithms are written out, so no
-    numpy release that changes ``Generator`` methods (NEP 19) moves a draw:
-    a bounded draw is Lemire's multiply-shift with its rejection step, and
-    ``choice(replace=False)`` is Floyd's selection, then a shuffle."""
-
-    def __init__(self, next32: Callable[[], int]) -> None:
-        self._next32 = next32
-
-    def _draw(self, n: int) -> int:
-        """A draw under n: Lemire's product of a half and n, redrawn while
-        its low half is under 2**32 % n (numpy tests against n first;
-        2**32 % n is below n, so the draws are the same)."""
-        m = self._next32() * n
-        if m & _MASK32 < n:
-            threshold = (_MASK32 + 1 - n) % n
-            while m & _MASK32 < threshold:
-                m = self._next32() * n
-        return m >> 32
-
-    def integers(self, n: int, size: int) -> list[int]:
-        """``Generator.integers(n, size=size)``, 1 <= n <= 2**32; n == 1 draws nothing."""
-        draw = self._draw
-        return [draw(n) for _ in range(size)] if n > 1 else [0] * size
-
-    def choice(self, d: int, k: int) -> list[int]:
-        """``Generator.choice(d, size=k, replace=False)``, k <= d <= 10000:
-        Floyd's selection (j on a repeat), then a Fisher-Yates shuffle."""
-        draw, picked = self._draw, []
-        for j in range(d - k, d):
-            v = draw(j + 1) if j else 0
-            picked.append(j if v in picked else v)
-        for i in range(k - 1, 0, -1):
-            j = draw(i + 1)
-            picked[i], picked[j] = picked[j], picked[i]
-        return picked
 
 
 # A subtree whose root holds at most this many rows grows on Python lists
@@ -181,13 +140,13 @@ def _best_categorical_split(
 
 
 def _fit_tree(X: np.ndarray, y: np.ndarray, presorted: np.ndarray, categorical: dict[int, int],
-              max_depth: int, n_candidates: int, draws: _Draws) -> list[_Leaf]:
+              max_depth: int, n_candidates: int, rng: PCG64) -> list[_Leaf]:
     """The leaves of one tree, depth first with the left child first, with
     ``presorted[f]`` the rows in stable order of column f. Each child is
     handed its box, so every leaf comes out with its own."""
     n, d = X.shape
     size = min(n_candidates, d)
-    choice = draws.choice
+    choice = rng.choice
     side = np.empty(n, dtype=bool)  # per row: goes to the left child
     leaves: list[_Leaf] = []
     cols, targets = X.T.tolist(), y.tolist()
@@ -373,10 +332,10 @@ def importance(
     skips the candidates that are constant in its node. Both paths add in
     numpy's order (:func:`_sum`, :func:`_best_numeric_split`), so every
     forest, and every importance, is bit-identical to scoring each column
-    on its own. Each tree's bootstrap, then its nodes' candidates in
-    depth-first order, are drawn by :class:`_Draws` from one
-    ``PCG64(seed)``, the generator the search draws from, one 32-bit half
-    at a time: they are what ``default_rng(seed)`` would draw.
+    on its own. Each tree's bootstrap (``rng.integers(n)`` n times), then
+    its nodes' candidates in depth-first order (``rng.choice``), are drawn
+    from one ``rng = PCG64(seed)``, the generator the search draws from:
+    they are what ``default_rng(seed)`` would draw.
     """
     if trees < 1 or seed < 0:
         raise ForestSettingsError(f"need trees >= 1 and seed >= 0, got {trees}, {seed}")
@@ -388,16 +347,16 @@ def importance(
         zeros = {n: 0.0 for n in names}
         return ImportanceReport(dict(zeros), dict(zeros))
 
-    draws = _Draws(PCG64(seed)._next32)
+    rng = PCG64(seed)
     n_candidates = max(1, math.ceil(math.sqrt(d)))
     ranks = _dense_ranks(X)
     fractions = np.zeros((trees, d))
     used = np.zeros(trees, dtype=bool)
     for t in range(trees):
-        bootstrap = np.array(draws.integers(len(y), len(y)))
+        bootstrap = np.array([rng.integers(len(y)) for _ in range(len(y))])
         presorted = np.argsort(ranks[bootstrap].T, axis=1, kind="stable")
         leaves = _fit_tree(X[bootstrap], y[bootstrap], presorted, categorical, max_depth,
-                           n_candidates, draws)
+                           n_candidates, rng)
         total_var, marginals = _tree_marginal_variances(leaves, d, categorical)
         if total_var > 0.0:
             fractions[t] = marginals / total_var

@@ -3,7 +3,8 @@ for bit in plain Python: the package's one PCG64, which the search (without
 numpy) and the importance forest draw from. NEP 19 lets
 numpy change a ``Generator`` stream between releases; this is the stream of
 numpy 1.17 on (O'Neill's seed_seq_fe, PCG64 with XSL-RR output, Lemire's
-bounded integers), and the tests pin every draw against numpy's own."""
+bounded integers, Floyd's choice without replacement), and the tests pin
+every draw against numpy's own."""
 
 from __future__ import annotations
 
@@ -84,10 +85,11 @@ def _words(state: int, inc: int, mult: int = PCG_MULT, m64: int = _MASK64,
 
 
 class PCG64:
-    """``np.random.default_rng(seed)``'s ``random()`` and ``integers()``,
-    each value and the stream's position as numpy's. A 32-bit draw takes a
-    word's low half and keeps its high half for the next one, as numpy's
-    PCG64 does; ``random()`` and 64-bit draws take whole words."""
+    """``np.random.default_rng(seed)``'s ``random()``, ``integers()``,
+    ``uniform()`` and ``choice(replace=False)``, each value and the stream's
+    position as numpy's. A 32-bit draw takes a word's low half and keeps its
+    high half for the next one, as numpy's PCG64 does; ``random()`` and
+    64-bit draws take whole words."""
 
     __slots__ = ("_next", "_half")
 
@@ -98,6 +100,11 @@ class PCG64:
     def random(self) -> float:
         return (self._next() >> 11) * (1.0 / 9007199254740992.0)
 
+    def uniform(self, low: float, high: float) -> float:
+        """``Generator.uniform(low, high)``: ``low + (high - low) * random()``,
+        without numpy's argument checks."""
+        return low + (high - low) * self.random()
+
     def _next32(self) -> int:
         half = self._half
         if half is None:
@@ -107,28 +114,44 @@ class PCG64:
         self._half = None
         return half
 
-    def integers(self, low: int, high: int | None = None) -> int:
-        """``Generator.integers(low, high)`` in int64, or ``(0, low)``:
-        Lemire's multiply-shift on a 32-bit draw, or on a word for a range
-        past 2**32, redrawn while the product's low bits are under
-        2**bits % n; a range of 2**bits is one plain draw, one of 1 none."""
-        if high is None:
-            low, high = 0, low
-        n = high - low
-        if n < 1 or low < -1 << 63 or high > 1 << 63:
-            raise ValueError(f"need -2**63 <= low < high <= 2**63, got {low}, {high}")
-        if n <= 1 << 32:
-            if n == 1:
-                return low
-            bits, draw, mask = 32, self._next32, _MASK32
-        else:
+    def _below(self, n: int, wide: bool = False) -> int:
+        """A draw under n >= 2: Lemire's multiply-shift on a 32-bit draw, or
+        on a word if ``wide``, redrawn while the product's low bits are under
+        2**bits % n (numpy tests against n first; 2**bits % n is below n, so
+        the draws are the same). n == 2**bits is one plain draw."""
+        if wide:
             bits, draw, mask = 64, self._next, _MASK64
+        else:
+            bits, draw, mask = 32, self._next32, _MASK32
         m = draw() * n
         if m & mask < n:
             threshold = (mask + 1 - n) % n
             while m & mask < threshold:
                 m = draw() * n
-        return low + (m >> bits)
+        return m >> bits
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """``Generator.integers(low, high)`` in int64, or ``(0, low)``:
+        :meth:`_below` on a 32-bit draw, or on a word for a range past
+        2**32; a range of 1 draws nothing."""
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if n < 1 or low < -1 << 63 or high > 1 << 63:
+            raise ValueError(f"need -2**63 <= low < high <= 2**63, got {low}, {high}")
+        return low + self._below(n, n > 1 << 32) if n > 1 else low
+
+    def choice(self, d: int, k: int) -> list[int]:
+        """``Generator.choice(d, size=k, replace=False)``, k <= d <= 10000:
+        Floyd's selection (j on a repeat), then a Fisher-Yates shuffle."""
+        below, picked = self._below, []
+        for j in range(d - k, d):
+            v = below(j + 1) if j else 0
+            picked.append(j if v in picked else v)
+        for i in range(k - 1, 0, -1):
+            j = below(i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
 
 
 def stream(seed):

@@ -103,6 +103,8 @@ def _parse_seed_spec(spec: str) -> list[int]:
         if match is None:
             raise ManifestError(f"seed {part!r} is not n or lo..hi with n, lo, hi >= 0")
         lo, hi = match.groups()
+        if hi is not None and int(hi) < int(lo):
+            raise ManifestError(f"seed range {part!r} runs backwards")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
 
@@ -166,6 +168,8 @@ def _resolve_manifest(args: argparse.Namespace) -> dict:
         resolved["out"] = os.environ.get(OUTPUT_ROOT_ENV)
 
     _check_settings(resolved)
+    if len(set(resolved["seeds"])) < len(resolved["seeds"]):  # one directory a seed
+        raise ManifestError(f"seeds repeat: {resolved['seeds']}")
     if not resolved["space"]:
         raise ManifestError("no search space given (--space or manifest)")
     if not Path(resolved["space"]).exists():
@@ -297,7 +301,10 @@ def _load_run(run_dir: Path, seed_dir: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if args.out and not Path(args.out).parent.is_dir():  # fail before the work
+    # fail before the work, as opening --out would after it
+    if args.out and Path(args.out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if args.out and not Path(args.out).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     if args.report_action in ("importance", "pareto"):
         _, _, _, history = _load_run(Path(args.run), args.seed_dir)

@@ -69,12 +69,6 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _uniform(rng: PCG64, a: float, b: float) -> float:
-    """``rng.uniform(a, b)`` bit for bit: numpy's ``a + (b - a) * next_double``
-    from the one double ``rng.random()`` takes, without the argument checks."""
-    return a + (b - a) * rng.random()
-
-
 def _truncnorm_bounds(mu: float, sigma: float) -> tuple[float, float]:
     """The normal(mu, sigma) CDF at 0 and at 1."""
     return ndtr((0.0 - mu) / sigma), ndtr((1.0 - mu) / sigma)
@@ -85,9 +79,9 @@ def _truncnorm_sample(
 ) -> float:
     """One draw from a normal(mu, sigma) truncated to [0, 1], by inverse CDF
     between ``bounds``, the pair's :func:`_truncnorm_bounds`, which callers
-    keep with their plan. Drawn between them by :func:`_uniform`, each value
-    and the stream are as ``rng.uniform`` between fresh bounds leaves them."""
-    return mu + sigma * ndtri(_uniform(rng, *bounds))
+    keep with their plan: one ``rng.uniform`` between them, the value and
+    the stream as between fresh bounds."""
+    return mu + sigma * ndtri(rng.uniform(*bounds))
 
 
 @dataclass(frozen=True)
@@ -368,9 +362,9 @@ def draw_index(rng: PCG64, cdf: Sequence[float]) -> int:
 
 def _sample_param_uniform(rng: PCG64, spec: ParameterSpec) -> Any:
     if spec.kind == FLOAT:
-        return _uniform(rng, float(spec.lo), float(spec.hi))
+        return rng.uniform(float(spec.lo), float(spec.hi))
     if spec.kind == LOG_FLOAT:
-        return math.exp(_uniform(rng, math.log(spec.lo), math.log(spec.hi)))
+        return math.exp(rng.uniform(math.log(spec.lo), math.log(spec.hi)))
     if spec.kind == INTEGER:
         return int(rng.integers(int(spec.lo), int(spec.hi) + 1))
     return spec.values[int(rng.integers(spec.n_choices))]

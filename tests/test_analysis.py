@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jahsband as jb
@@ -12,14 +12,12 @@ from jahsband import configspace as cs
 from jahsband import _forest
 from jahsband._forest import (
     _SCALAR_ROWS,
-    _Draws,
     _best_categorical_split,
     _best_numeric_split,
     _best_numeric_splits,
     _dense_ranks,
     _sum,
 )
-from jahsband._pcg64 import PCG64
 from jahsband.analysis import (
     InsufficientDataError,
     SpaceMismatchError,
@@ -403,77 +401,6 @@ class TestExports:
         assert (tmp_path / "importance.json").exists()
         payload = json.loads((tmp_path / "importance.json").read_text())
         assert set(payload) == {"p0", "p1", "p2"}
-
-
-def generator_calls():
-    """A call of ``integers(n, size=m)`` or ``choice(d, size=k,
-    replace=False)``, as (name, n or d, m or k)."""
-    integers = st.tuples(st.just("integers"), st.integers(1, 600), st.integers(0, 40))
-    choice = st.integers(1, 40).flatmap(
-        lambda d: st.tuples(st.just("choice"), st.just(d), st.integers(1, d)))
-    return integers | choice
-
-
-def call(source, name, a, b):
-    if isinstance(source, _Draws):
-        return getattr(source, name)(a, b)
-    if name == "integers":
-        return source.integers(a, size=b).tolist()
-    return source.choice(a, size=b, replace=False).tolist()
-
-
-def draws(seed):
-    return _Draws(PCG64(seed)._next32)
-
-
-class TestDraws:
-    """The forest's draws from ``PCG64(seed)`` equal those of
-    ``np.random.default_rng(seed)`` and leave the stream at the same point."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**256 - 1))
-    @example(seed=0)
-    @example(seed=2**32 - 1)
-    @example(seed=2**32)  # two entropy words
-    @example(seed=2**128 + 1)  # five: one is mixed in after the pool
-    @example(seed=2**256 - 1)
-    def test_halves_match_numpy_raw_words(self, seed):
-        # the forest's half source: numpy's raw words, low half first
-        words = np.random.default_rng(seed).bit_generator.random_raw(1000)
-        expected = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()
-        next32 = PCG64(seed)._next32
-        assert [next32() for _ in range(2000)] == expected.tolist()
-
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(generator_calls(), max_size=60))
-    def test_interleaved_calls_match_generator(self, seed, calls):
-        rng, forest = np.random.default_rng(seed), draws(seed)
-        for name, a, b in calls + [("integers", 2**31 + 1, 3)]:
-            assert call(forest, name, a, b) == call(rng, name, a, b)
-
-    @pytest.mark.parametrize("name, a, b", [
-        ("integers", 1, 5), ("integers", 1, 0), ("choice", 1, 1), ("choice", 2, 2)])
-    def test_a_single_value_draws_nothing(self, name, a, b):
-        rng, forest = np.random.default_rng(7), draws(7)
-        assert call(forest, name, a, b) == call(rng, name, a, b)
-        assert forest.integers(600, 4) == rng.integers(600, size=4).tolist()
-
-    def test_rejection_matches_generator(self):
-        # below 2**31 + 1 about half of all draws are rejected and redrawn
-        rng, forest = np.random.default_rng(3), draws(3)
-        for _ in range(4):
-            assert forest.integers(2**31 + 1, 64) == rng.integers(2**31 + 1, size=64).tolist()
-            assert forest.choice(17, 5) == rng.choice(17, size=5, replace=False).tolist()
-
-    def test_rejection_from_crafted_words(self):
-        # a draw below 3 rejects a half whose product with 3 leaves a low
-        # half under 2**32 % 3 == 1, i.e. a half of 0, and redraws:
-        # 0 (rejected), 0xFFFFFFFF -> 2; then 0 (rejected), 1 -> 0; then
-        # 0x55555556 -> 1, whose low half 2 is under 3 but not under 1, so
-        # it stands
-        forest = _Draws(iter([0, 0xFFFFFFFF, 0, 1, 0x55555556]).__next__)
-        assert forest.choice(3, 1) == [2]
-        assert forest.integers(3, 2) == [0, 1]
 
 
 @settings(max_examples=100, deadline=None)

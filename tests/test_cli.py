@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import shlex
@@ -524,6 +525,13 @@ class TestReportCommand:
         assert run_cli("report", "pareto", "--run", str(out)) == 0
         assert (out / "seed_0" / "pareto.json").read_bytes() == original
 
+    def test_run_whose_seeds_repeat_still_reports(self, tmp_path):
+        # a new run refuses repeated seeds; one recorded with them still reads
+        out = self.make_run(tmp_path)
+        path = out / "manifest.resolved.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "seeds": [0, 0]}))
+        assert run_cli("report", "pareto", "--run", str(out)) == 0
+
     @pytest.mark.parametrize("report", ["importance", "pareto"])
     def test_out_gets_the_default_bytes(self, report, tmp_path, capsys):
         out = self.make_run(tmp_path)
@@ -635,11 +643,13 @@ class TestReportCommand:
         out = self.make_run(tmp_path)
         for name in ("fanova_first_order", "cross_eval"):
             monkeypatch.setattr(analysis, name, work)
-        target = tmp_path / "missing" / "report.out"
         flag = "--runs" if report == "crosseval" else "--run"
-        assert run_cli("report", report, flag, str(out), "--out", str(target)) == 4
-        assert capsys.readouterr().err.startswith("i/o error: ")
-        assert not target.parent.exists()
+        # a file in a missing directory, then an existing directory
+        for target, code in ((tmp_path / "missing" / "report.out", errno.ENOENT),
+                             (out, errno.EISDIR)):
+            assert run_cli("report", report, flag, str(out), "--out", str(target)) == 4
+            assert capsys.readouterr().err.startswith(f"i/o error: [Errno {code}]")
+        assert not (tmp_path / "missing").exists()
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("report", "importance",
@@ -769,6 +779,14 @@ INPUT_ERRORS = {
     "negative seed": lambda tmp, run: small_run_args(tmp / "o", seed="-1"),
     "seed not a number": lambda tmp, run: small_run_args(tmp / "o", seed="x"),
     "open seed range": lambda tmp, run: small_run_args(tmp / "o", seed="1.."),
+    # each once a run of only the seeds before it, or of one seed twice
+    # into the same directory
+    "reversed seed range": lambda tmp, run: small_run_args(tmp / "o", seed="0,5..3"),
+    "repeated seed": lambda tmp, run: small_run_args(tmp / "o", seed="1,1"),
+    "repeated seed in a range": lambda tmp, run: small_run_args(tmp / "o", seed="0..2,2"),
+    "manifest repeated seed": lambda tmp, run: _manifest_run(tmp, {"seeds": [1, 1]}),
+    "reversed grammar seed range":
+        lambda tmp, run: ["grammar", "sample", "--stages", "3", "--seeds", "0,5..3"],
     "negative noise": lambda tmp, run: small_run_args(tmp / "o") + ["--noise", "-1"],
     "zero curvature": lambda tmp, run: small_run_args(tmp / "o") + ["--curvature", "0"],
     "negative problem seed":
